@@ -41,8 +41,8 @@ Outcome run_with(const Sim& sim, const flow::DetectorConfig& config) {
   flow::FlowDetector detector(config, std::move(events));
   telescope::TrafficSynthesizer synth(sim.population, aperture());
   for (int hour = 0; hour < 24; ++hour) {
-    synth.run(hour * kMicrosPerHour, (hour + 1) * kMicrosPerHour,
-              [&](const net::Packet& p) { detector.process(p); });
+    synth.emit(hour * kMicrosPerHour, (hour + 1) * kMicrosPerHour,
+               [&](const net::Packet& p) { detector.process(p); });
     detector.end_of_hour((hour + 1) * kMicrosPerHour);
   }
   detector.finish();

@@ -12,8 +12,10 @@
 //     sighted tunnel); a global outage delays everything.
 //   merge — federated pipeline pps at 1/2/4/8 sites with every site
 //     active. sites=1 exercises the single-site passthrough (must stay
-//     at the unfederated baseline); the rest price the demux + K-way
-//     merge on the hot path.
+//     at the unfederated baseline); the rest price the per-row site demux
+//     plus sighting bookkeeping on the hot path. The JSON key stays
+//     "merge" so the regression gate keeps comparing against its
+//     baseline rows.
 //
 //   ./bench_federation            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
@@ -171,7 +173,8 @@ int main() {
   }
   if (json != nullptr) std::fprintf(json, "\n  ],\n");
 
-  benchx::heading("merge: federated hot-path pps by site count (all active)");
+  benchx::heading(
+      "merge: demux + sightings hot-path pps by site count (all active)");
   std::printf("%10s %12s %14s\n", "sites", "packets", "pps");
   if (json != nullptr) std::fprintf(json, "  \"merge\": [");
   first = true;

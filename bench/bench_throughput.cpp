@@ -118,7 +118,7 @@ void BM_Synthesizer(benchmark::State& state) {
   for (auto _ : state) {
     telescope::TrafficSynthesizer synth(pop, scope());
     std::size_t n =
-        synth.run(0, kMicrosPerHour, [](const net::Packet&) {});
+        synth.emit(0, kMicrosPerHour, [](const net::Packet&) {});
     state.SetItemsProcessed(
         state.items_processed() + static_cast<std::int64_t>(n));
   }
@@ -134,8 +134,8 @@ void BM_EndToEndHour(benchmark::State& state) {
   auto pop = inet::Population::generate(config.scaled(0.2), world);
   std::vector<net::Packet> hour;
   telescope::TrafficSynthesizer synth(pop, scope());
-  synth.run(hours(12), hours(13),
-            [&](const net::Packet& p) { hour.push_back(p); });
+  synth.emit(hours(12), hours(13),
+             [&](const net::Packet& p) { hour.push_back(p); });
   for (auto _ : state) {
     flow::FlowDetector detector(flow::DetectorConfig{},
                                 flow::DetectorEvents{});

@@ -113,8 +113,8 @@ struct PipelineConfig {
   /// Hours between compacted snapshots (0 = only the final one).
   int snapshot_interval_hours = 24;
   /// Telescope federation: sensor sites the aperture is carved into
-  /// (power of two; 1 = the single-telescope legacy path). The merged
-  /// feed is byte-identical for any site count — see pipeline/federation.h.
+  /// (power of two; 1 = the single-telescope legacy path). The feed is
+  /// byte-identical for any site count — see pipeline/federation.h.
   /// CLI: `exiotctl --sites`.
   int num_sites = 1;
   /// Sites actually capturing (first k of the partition; 0 = all). Fewer

@@ -5,20 +5,24 @@
 //
 // Placement: between the producer (canonical traffic synthesis against
 // the full aperture) and the threaded ingest. Each canonical SoA batch is
-// demultiplexed by destination into per-site slices — a site captures
-// exactly the packets landing in its sub-prefix — sightings are recorded
-// per (source, site), dark (inactive) sites drop their slice, and the
-// active slices are re-merged by canonical arrival time through the same
-// tournament tree the host merge uses (telescope::FederatedMerge). The
-// union of all active sites reconstructs the canonical stream exactly, so
-// the merged feed is byte-identical for any site count — the federation
-// determinism matrix (tests/federation_test.cpp) asserts it against the
-// producers x shards x annotate-workers grid.
+// filtered in one in-order pass: every row is attributed by destination
+// to the site whose sub-prefix it lands in, sightings and per-site packet
+// counts are recorded, and rows landing in a dark (inactive) site or
+// outside the telescope are dropped. The batch itself is forwarded when
+// nothing was dropped, a compacted copy of the kept rows otherwise.
+//
+// Why the filter is exact: the union of the active sites' captures, put
+// back into canonical (ts, arrival) order, is the canonical stream minus
+// the dark rows. The stage's input is in non-decreasing ts, so that order
+// is simply the input row order — no per-site queues or cross-site merge
+// are needed, and the forwarded feed is byte-identical for any site count.
+// The federation determinism matrix (tests/federation_test.cpp) asserts it
+// against the producers x shards x annotate-workers grid.
 //
 // Clock skew: a site's local timestamp is canonical + skew. Skew colors
-// the per-sensor attribution (local_first_seen) but never the merge order
-// — the aggregator sorts on the canonical clock, the way the real one
-// would after skew normalization — so the feed is skew-invariant.
+// the per-sensor attribution (local_first_seen) but never the forwarding
+// order — the aggregator orders on the canonical clock, the way the real
+// one would after skew normalization — so the feed is skew-invariant.
 //
 // Detector events (SCANNER / SAMPLE / END_FLOW) ship to the aggregator
 // over the tunnel of every site that sighted the source; the event is
@@ -27,7 +31,7 @@
 // single-tunnel behavior exactly.
 //
 // Single-site fast path: num_sites == 1 forwards batches untouched — no
-// demux, no sighting bookkeeping, no merge — so the legacy pipeline pays
+// attribution, no sighting bookkeeping — so the legacy pipeline pays
 // nothing for the federation layer existing.
 #pragma once
 
@@ -50,7 +54,7 @@ namespace exiot::pipeline {
 /// entries take the defaults).
 struct SiteSpec {
   /// Site clock minus canonical clock (local_first_seen = canonical +
-  /// skew). Never affects merge order or feed bytes.
+  /// skew). Never affects forwarding order or feed bytes.
   TimeMicros clock_skew = 0;
   /// This site's tunnel re-establishment delay after an outage.
   TimeMicros reconnect_delay = seconds(5);
@@ -80,9 +84,10 @@ class FederationStage {
   FederationStage(FederationConfig config,
                   obs::MetricsRegistry* metrics = nullptr);
 
-  /// Streams one window: pulls canonical batches from `source`, demuxes
-  /// them across the sites, and forwards the re-merged (active-aperture)
-  /// stream to `sink`. Returns the number of packets forwarded.
+  /// Streams one window: pulls canonical batches from `source` (rows in
+  /// non-decreasing ts), records per-site sightings, and forwards the
+  /// active-aperture rows to `sink` in input order. Returns the number of
+  /// packets forwarded.
   std::size_t run_window(const BatchSource& source, const BatchFn& sink);
 
   /// Delivery time of a detector event about `src` sent at `sent_at`: the
@@ -120,8 +125,7 @@ class FederationStage {
   std::vector<telescope::SiteInfo> sites_;
   std::vector<std::unique_ptr<ReconnectingTunnel>> tunnels_;
   telescope::SightingTable sightings_;
-  telescope::FederatedMerge merge_;
-  net::PacketBatch out_;                    // Re-merge scratch, reused.
+  net::PacketBatch out_;                    // Compaction scratch, reused.
   std::vector<std::uint64_t> site_counts_;  // Per-batch metric scratch.
   std::vector<obs::Counter*> packets_c_;    // Per-site captured packets.
   obs::Counter* dropped_c_;

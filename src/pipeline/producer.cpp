@@ -75,10 +75,44 @@ ParallelProducer::~ParallelProducer() {
   join_workers();
 }
 
-std::size_t ParallelProducer::run(
-    TimeMicros t0, TimeMicros t1,
-    const std::function<void(const net::Packet&)>& fn) {
-  return emit(t0, t1, fn);
+std::size_t ParallelProducer::emit_threaded(
+    TimeMicros t0, TimeMicros t1, std::size_t batch_size,
+    const std::function<void(const net::PacketBatch&)>& fn) {
+  start_window(t0, t1);
+  // The K-way merge: advance the cursor holding the smallest
+  // (ts, host) head; refill a drained cursor from its queue (blocking
+  // until the producer pushes or closes).
+  std::vector<Cursor> cursors(partitions_.size());
+  batch_.reserve(batch_size);
+  batch_.clear();
+  std::size_t count = 0;
+  while (true) {
+    int best = -1;
+    for (std::size_t p = 0; p < cursors.size(); ++p) {
+      Cursor& cur = cursors[p];
+      if (cur.done) continue;
+      if (cur.pos >= cur.batch.items.size() && !refill(p, cur)) continue;
+      if (best < 0 ||
+          heads_before(cur, cursors[static_cast<std::size_t>(best)])) {
+        best = static_cast<int>(p);
+      }
+    }
+    if (best < 0) break;
+    Cursor& winner = cursors[static_cast<std::size_t>(best)];
+    batch_.push_back(winner.batch.items[winner.pos++].pkt);
+    ++count;
+    if (batch_.size() >= batch_size) {
+      fn(static_cast<const net::PacketBatch&>(batch_));
+      batch_.clear();
+    }
+  }
+  join_workers();
+  packets_c_->inc(count);
+  if (!batch_.empty()) {
+    fn(static_cast<const net::PacketBatch&>(batch_));
+    batch_.clear();
+  }
+  return count;
 }
 
 void ParallelProducer::start_window(TimeMicros t0, TimeMicros t1) {

@@ -7,10 +7,10 @@
 // partition and pushes fixed-size, time-bounded packet batches into a
 // per-producer BoundedBuffer. A merger on the calling thread performs a
 // deterministic K-way merge over the producer queues by (ts, host_index) —
-// the same total order the serial synthesizer emits — and hands each packet
-// to the caller, which stamps the global arrival sequence numbers and
-// routes into the per-shard capture buffers (ThreadedIngest's producer
-// role).
+// the same total order the serial synthesizer emits — and re-batches the
+// merged stream into SoA batches for the caller (the federation stage and
+// ThreadedIngest, which stamps the global arrival sequence numbers and
+// routes rows into the per-shard capture buffers).
 //
 // Because every partition's stream is sorted by (ts, host_index) and host
 // indices are disjoint across partitions, the head-of-queue merge
@@ -19,9 +19,9 @@
 // for any (producer_threads x detector_shards) combination.
 //
 // `num_producers == 1` short-circuits to a fully serial emit on the
-// calling thread (no queues, no threads) with the same live-list and
-// reused-slot fast paths, so the baseline configuration pays nothing for
-// the machinery.
+// calling thread (no queues, no threads) that synthesizes straight into
+// batch rows, so the baseline configuration pays nothing for the
+// machinery.
 #pragma once
 
 #include <cstdint>
@@ -86,26 +86,15 @@ class ParallelProducer {
   ParallelProducer& operator=(const ParallelProducer&) = delete;
 
   /// Emits every packet with ts in [t0, t1) in the canonical
-  /// (ts, host_index) arrival order, calling `fn(const net::Packet&)` on
-  /// the calling thread. `fn` may return void, or bool where false stops
-  /// the run early: producer queues are closed, the worker threads unwind
-  /// off their blocked pushes and are joined before emit returns (the
-  /// close-while-producing shutdown path). After an early stop the
-  /// producer's stream state is mid-window; start the next emit from a
-  /// fresh instance. Returns the number of packets delivered to `fn`.
-  template <typename Fn>
-  std::size_t emit(TimeMicros t0, TimeMicros t1, Fn&& fn) {
-    if (partitions_.size() == 1) return emit_serial(t0, t1, fn);
-    return emit_threaded(t0, t1, fn);
-  }
-
-  /// Batched emit: the same canonical (ts, host_index) packet stream,
-  /// delivered as SoA batches of `batch_size` rows via
-  /// `fn(const net::PacketBatch&)` (void return; the batch is borrowed
-  /// only for the call). The serial fallback synthesizes directly into
-  /// batch rows (no per-packet callback at all); with K > 1 producers the
-  /// per-packet K-way merge output is re-batched on the calling thread.
-  /// No early-stop protocol — shutdown paths use the scalar emit().
+  /// (ts, host_index) arrival order, delivered as SoA batches of
+  /// `batch_size` rows via `fn(const net::PacketBatch&)` on the calling
+  /// thread (void return; the batch is borrowed only for the call). The
+  /// serial fallback synthesizes directly into batch rows (no per-packet
+  /// callback at all); with K > 1 producers the per-packet K-way merge
+  /// output is re-batched on the calling thread. If `fn` throws, the
+  /// exception propagates with the workers still parked; the destructor
+  /// closes the queues and joins them. Returns the number of packets
+  /// emitted.
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,
                            std::size_t batch_size, BatchFn&& fn) {
@@ -123,26 +112,10 @@ class ParallelProducer {
       packets_c_->inc(count);
       return count;
     }
-    batch_.reserve(batch_size);
-    batch_.clear();
-    auto sink = [this, &fn, batch_size](const net::Packet& pkt) {
-      batch_.push_back(pkt);
-      if (batch_.size() >= batch_size) {
-        fn(static_cast<const net::PacketBatch&>(batch_));
-        batch_.clear();
-      }
-    };
-    const std::size_t count = emit_threaded(t0, t1, sink);
-    if (!batch_.empty()) {
-      fn(static_cast<const net::PacketBatch&>(batch_));
-      batch_.clear();
-    }
-    return count;
+    return emit_threaded(
+        t0, t1, batch_size,
+        [&fn](const net::PacketBatch& batch) { fn(batch); });
   }
-
-  /// std::function convenience wrapper (cold callers).
-  std::size_t run(TimeMicros t0, TimeMicros t1,
-                  const std::function<void(const net::Packet&)>& fn);
 
   int num_producers() const {
     return static_cast<int>(partitions_.size());
@@ -171,71 +144,6 @@ class ParallelProducer {
     std::uint64_t batch_seq = 0;  // Ordinal keying batch trace sampling.
   };
 
-  template <typename Fn>
-  std::size_t emit_serial(TimeMicros t0, TimeMicros t1, Fn& fn) {
-    Partition& part = *partitions_[0];
-    const std::uint64_t avoided = part.streams.size() - part.live.size();
-    part.dead_scans_avoided += avoided;
-    dead_scans_c_->inc(avoided);
-    const std::size_t pruned_before = part.pruned;
-    const std::size_t count = telescope::emit_window(
-        part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-        [&fn](const net::Packet& pkt, std::uint32_t) {
-          return invoke_sink(fn, pkt);
-        });
-    pruned_c_->inc(part.pruned - pruned_before);
-    packets_c_->inc(count);
-    return count;
-  }
-
-  template <typename Fn>
-  std::size_t emit_threaded(TimeMicros t0, TimeMicros t1, Fn& fn) {
-    start_window(t0, t1);
-    // The K-way merge: advance the cursor holding the smallest
-    // (ts, host) head; refill a drained cursor from its queue (blocking
-    // until the producer pushes or closes).
-    std::vector<Cursor> cursors(partitions_.size());
-    std::size_t count = 0;
-    bool stopped = false;
-    while (!stopped) {
-      int best = -1;
-      for (std::size_t p = 0; p < cursors.size(); ++p) {
-        Cursor& cur = cursors[p];
-        if (cur.done) continue;
-        if (cur.pos >= cur.batch.items.size() && !refill(p, cur)) continue;
-        if (best < 0 || heads_before(cur, cursors[static_cast<std::size_t>(
-                                              best)])) {
-          best = static_cast<int>(p);
-        }
-      }
-      if (best < 0) break;
-      Cursor& winner = cursors[static_cast<std::size_t>(best)];
-      const SynthPacket& item = winner.batch.items[winner.pos++];
-      if (!invoke_sink(fn, item.pkt)) {
-        stopped = true;
-        break;
-      }
-      ++count;
-    }
-    if (stopped) close_queues();  // Unblock producers parked on a push.
-    join_workers();
-    packets_c_->inc(count);
-    return count;
-  }
-
-  /// Adapts void- and bool-returning sinks to the internal
-  /// continue-flag protocol.
-  template <typename Fn>
-  static bool invoke_sink(Fn& fn, const net::Packet& pkt) {
-    if constexpr (std::is_void_v<std::invoke_result_t<
-                      Fn&, const net::Packet&>>) {
-      fn(pkt);
-      return true;
-    } else {
-      return fn(pkt);
-    }
-  }
-
   struct Cursor {
     ProducerBatch batch;
     std::size_t pos = 0;
@@ -249,6 +157,11 @@ class ParallelProducer {
     return x.host < y.host;
   }
 
+  /// The K > 1 path of emit_batches: the K-way merge over the producer
+  /// queues, re-batched into `batch_` on the calling thread.
+  std::size_t emit_threaded(
+      TimeMicros t0, TimeMicros t1, std::size_t batch_size,
+      const std::function<void(const net::PacketBatch&)>& fn);
   /// Reopens the queues and launches one worker per partition for the
   /// window [t0, t1).
   void start_window(TimeMicros t0, TimeMicros t1);

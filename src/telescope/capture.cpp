@@ -10,10 +10,11 @@ Result<std::vector<CapturedHour>> capture_to_files(
   trace::HourlyTraceWriter writer(dir);
   std::map<std::int64_t, std::size_t> counts;
   Status status = Ok{};
-  synth.run(t0, t1, [&](const net::Packet& pkt) {
-    if (!status.ok()) return;
-    status = writer.add(pkt);
-    counts[pkt.ts / kMicrosPerHour]++;
+  synth.emit_batches(t0, t1, 1024, [&](const net::PacketBatch& batch) {
+    for (std::size_t i = 0; i < batch.size() && status.ok(); ++i) {
+      status = writer.add(batch[i]);
+      counts[batch[i].ts / kMicrosPerHour]++;
+    }
   });
   if (!status.ok()) return status.error();
   if (auto s = writer.close(); !s.ok()) return s.error();

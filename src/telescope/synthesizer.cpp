@@ -110,12 +110,6 @@ void HostStream::fill_packet(TimeMicros ts, net::Packet& out) {
   }
 }
 
-std::optional<net::Packet> HostStream::next() {
-  net::Packet p;
-  if (!next_into(p)) return std::nullopt;
-  return p;
-}
-
 bool HostStream::next_into(net::Packet& out) {
   if (next_ts_ == kNever) return false;
   fill_packet(next_ts_, out);
@@ -131,12 +125,6 @@ TrafficSynthesizer::TrafficSynthesizer(const inet::Population& pop,
     live_.push_back(static_cast<std::uint32_t>(streams_.size()));
     streams_.emplace_back(pop, host, aperture);
   }
-}
-
-std::size_t TrafficSynthesizer::run(
-    TimeMicros t0, TimeMicros t1,
-    const std::function<void(const net::Packet&)>& fn) {
-  return emit(t0, t1, fn);
 }
 
 }  // namespace exiot::telescope

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -35,15 +34,12 @@ class HostStream {
   HostStream(const inet::Population& pop, const inet::Host& host,
              Cidr aperture);
 
-  /// The next packet, or nullopt when the host is done.
-  std::optional<net::Packet> next();
-
-  /// Hot-path variant: fills `out` in place (every field is reset, so the
-  /// slot can be shared across streams) and returns false when the host is
-  /// done. Avoids constructing an optional<net::Packet> per packet.
+  /// Fills `out` with the next packet in place (every field is reset, so
+  /// the slot can be shared across streams) and returns false when the
+  /// host is done.
   bool next_into(net::Packet& out);
 
-  /// Timestamp of the packet `next()` would return (kNever when done).
+  /// Timestamp of the packet `next_into()` would fill (kNever when done).
   TimeMicros peek_ts() const { return next_ts_; }
 
   /// True once every session has been exhausted.
@@ -84,9 +80,10 @@ class HostStream {
 /// Streams found exhausted at window entry are dropped from `live` (their
 /// count accumulates into `pruned`), so later windows stop rescanning
 /// hosts that finished days ago. `fn(pkt, host_index)` may return void, or
-/// bool where false aborts the window early (the shutdown path; stream
-/// window state is abandoned mid-merge, so the caller must not reuse the
-/// streams afterwards). Returns the number of packets emitted.
+/// bool where false aborts the window early (a producer worker whose queue
+/// was closed under it; stream window state is abandoned mid-merge, so the
+/// caller must not reuse the streams afterwards). Returns the number of
+/// packets emitted.
 template <typename Fn>
 std::size_t emit_window(std::vector<HostStream>& streams,
                         const std::uint32_t* hosts,
@@ -163,7 +160,7 @@ std::size_t emit_window(std::vector<HostStream>& streams,
 /// PacketBatch row and `fn(const net::PacketBatch&)` (void return) is
 /// invoked once per `batch_size` packets — and once at window end for the
 /// remainder. The callback borrows the batch only for the call. There is
-/// no early-stop protocol; shutdown paths use the scalar emit_window.
+/// no early-stop protocol.
 ///
 /// Unlike the scalar merge's binary heap, the batched path selects with a
 /// tournament (loser) tree — telescope/merge.h: one leaf-to-root replay
@@ -257,10 +254,9 @@ class TrafficSynthesizer {
  public:
   TrafficSynthesizer(const inet::Population& pop, Cidr aperture);
 
-  /// Emits every packet with ts in [t0, t1) in non-decreasing order.
-  /// Returns the number of packets emitted. Templated so hot callers
-  /// (the threaded ingest producer, benchmarks) avoid a std::function
-  /// call per packet.
+  /// Emits every packet with ts in [t0, t1) in non-decreasing order as
+  /// `fn(const net::Packet&)`. Returns the number of packets emitted. The
+  /// scalar reference for emit_batches (tests compare the two).
   template <typename Fn>
   std::size_t emit(TimeMicros t0, TimeMicros t1, Fn&& fn) {
     // Work the live list saves: exhausted streams not rescanned this
@@ -284,9 +280,6 @@ class TrafficSynthesizer {
                              batch_size, batch_,
                              std::forward<BatchFn>(fn));
   }
-
-  std::size_t run(TimeMicros t0, TimeMicros t1,
-                  const std::function<void(const net::Packet&)>& fn);
 
   /// Streams still able to produce packets (before the next window scan).
   std::size_t live_streams() const { return live_.size(); }

@@ -1,18 +1,21 @@
 // Tests for the telescope federation layer: aperture partitioning, the
-// per-sensor sighting ledger, the cross-site K-way re-merge, the
-// federation stage's demux/drop/merge semantics — and the determinism
+// per-sensor sighting ledger, the federation stage's in-order
+// attribute/drop/forward semantics — and the determinism
 // matrix the tentpole promises: the merged feed (export, outbox, API
 // bodies) is byte-identical across site counts {1, 2, 4} x skew profiles
 // x outage profiles x producers x shards x annotate-workers, with
 // per-sensor first-seen attribution asserted on the multi-site runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <tuple>
 #include <vector>
 
 #include "api/server.h"
+#include "common/rng.h"
 #include "feed/export.h"
 #include "inet/population.h"
 #include "pipeline/exiot.h"
@@ -81,30 +84,6 @@ TEST(SightingTableTest, SurvivesGrowth) {
   EXPECT_EQ(s[0].first_seen, seconds(7));
 }
 
-// ------------------------------------------------------ FederatedMerge ----
-
-TEST(FederatedMergeTest, ReplaysCanonicalOrderAcrossSites) {
-  telescope::FederatedMerge merge;
-  merge.assign(3);
-  // A canonical batch of 8 rows demuxed round-robin-ish across 3 sites;
-  // equal timestamps are broken by seq (the row index).
-  const TimeMicros ts[8] = {1, 2, 2, 3, 3, 3, 9, 9};
-  const std::size_t site_of[8] = {0, 1, 0, 2, 1, 0, 2, 1};
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    net::Packet pkt;
-    pkt.ts = ts[i];
-    merge.queue(site_of[i]).push_back(telescope::SiteRow{pkt, i});
-  }
-  std::vector<std::uint32_t> order;
-  merge.drain([&](const telescope::SiteRow& row, std::size_t site) {
-    EXPECT_EQ(site_of[row.seq], site);
-    order.push_back(row.seq);
-  });
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // Queues are cleared: a second drain emits nothing.
-  merge.drain([&](const telescope::SiteRow&, std::size_t) { FAIL(); });
-}
-
 // ----------------------------------------------------- FederationStage ----
 
 /// A source streaming one crafted batch.
@@ -113,6 +92,137 @@ FederationStage::BatchSource one_batch(const net::PacketBatch& batch) {
     fn(batch);
     return batch.size();
   };
+}
+
+/// One window of seeded canonical batches: timestamps advance in runs of
+/// equal values, a handful of sources each hit destinations across the
+/// whole telescope, and about one row in eight lands outside it. The
+/// source port is the row's window-wide ordinal, so rows stay distinct.
+std::vector<net::PacketBatch> seeded_window(std::uint64_t seed,
+                                            const std::vector<Ipv4>& srcs) {
+  Rng rng(seed);
+  const Cidr telescope(Ipv4(44, 0, 0, 0), 8);
+  std::vector<net::PacketBatch> batches(6);
+  TimeMicros ts = seconds(1);
+  std::uint16_t ordinal = 0;
+  for (auto& batch : batches) {
+    const std::uint64_t rows = 1 + rng.next_below(300);
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      if (rng.bernoulli(0.3)) ts += 1 + static_cast<TimeMicros>(
+                                           rng.next_below(1000));
+      const Ipv4 dst =
+          rng.bernoulli(0.125)
+              ? Ipv4(rng.bernoulli(0.5) ? 43 : 45,
+                     static_cast<std::uint8_t>(rng.next_below(256)), 0, 1)
+              : telescope.address_at(rng.next_below(telescope.size()));
+      batch.push_back(net::make_syn(ts, srcs[rng.next_below(srcs.size())],
+                                    dst, ordinal++, 23));
+    }
+  }
+  return batches;
+}
+
+TEST(FederationStageTest, ForwardsActiveRowsInInputOrder) {
+  const Cidr telescope(Ipv4(44, 0, 0, 0), 8);
+  const std::vector<Ipv4> srcs{Ipv4(203, 0, 113, 1), Ipv4(203, 0, 113, 2),
+                               Ipv4(198, 51, 100, 3), Ipv4(192, 0, 2, 4),
+                               Ipv4(100, 64, 0, 5)};
+  for (const int sites : {2, 4, 8}) {
+    for (int active = 1; active <= sites; ++active) {
+      SCOPED_TRACE("sites=" + std::to_string(sites) +
+                   " active=" + std::to_string(active));
+      const auto batches = seeded_window(
+          static_cast<std::uint64_t>(sites * 100 + active), srcs);
+      FederationConfig config;
+      config.telescope = telescope;
+      config.num_sites = sites;
+      config.active_sites = active;
+      config.sites.resize(static_cast<std::size_t>(sites));
+      for (int i = 0; i < sites; ++i) {
+        config.sites[static_cast<std::size_t>(i)].clock_skew = seconds(i);
+      }
+      obs::MetricsRegistry metrics;
+      FederationStage stage(config, &metrics);
+
+      std::size_t input = 0;
+      std::vector<net::Packet> got;
+      const std::size_t forwarded = stage.run_window(
+          [&](const FederationStage::BatchFn& fn) {
+            for (const auto& batch : batches) {
+              fn(batch);
+              input += batch.size();
+            }
+            return input;
+          },
+          [&](const net::PacketBatch& out) {
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              got.push_back(out[i]);
+            }
+          });
+
+      // The direct count: a row belongs to site (dst - network) / slice.
+      const std::uint64_t slice =
+          telescope.size() / static_cast<std::uint64_t>(sites);
+      std::vector<net::Packet> want;
+      std::uint64_t dropped = 0;
+      std::vector<std::uint64_t> per_site(static_cast<std::size_t>(sites));
+      std::map<std::pair<std::uint32_t, std::size_t>,
+               telescope::SightingTable::Sighting>
+          sighted;
+      for (const auto& batch : batches) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const net::Packet& p = batch[i];
+          const std::size_t site =
+              telescope.contains(p.dst)
+                  ? static_cast<std::size_t>(
+                        (p.dst.value() - telescope.network().value()) / slice)
+                  : static_cast<std::size_t>(sites);
+          if (site >= static_cast<std::size_t>(active)) {
+            ++dropped;
+            continue;
+          }
+          want.push_back(p);
+          ++per_site[site];
+          auto& s = sighted[{p.src.value(), site}];
+          s.first_seen = std::min(s.first_seen, p.ts);
+          ++s.packets;
+        }
+      }
+      ASSERT_GT(dropped, 0u);
+      EXPECT_EQ(forwarded, want.size());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(metrics.counter_value("exiot_federation_dropped_total"),
+                dropped);
+      for (std::size_t s = 0; s < per_site.size(); ++s) {
+        EXPECT_EQ(metrics.counter_value(
+                      "exiot_federation_packets_total",
+                      obs::Labels{{"site", "site" + std::to_string(s)}}),
+                  per_site[s])
+            << "site " << s;
+      }
+      for (const Ipv4 src : srcs) {
+        std::vector<feed::SensorSighting> expect;
+        for (const auto& [key, s] : sighted) {
+          if (key.first != src.value()) continue;
+          feed::SensorSighting e;
+          e.sensor = "site" + std::to_string(key.second);
+          e.first_seen = s.first_seen;
+          e.local_first_seen =
+              s.first_seen + seconds(static_cast<double>(key.second));
+          e.packets = s.packets;
+          expect.push_back(e);
+        }
+        const auto actual = stage.sightings_of(src);
+        ASSERT_EQ(actual.size(), expect.size()) << src.to_string();
+        for (std::size_t i = 0; i < actual.size(); ++i) {
+          EXPECT_EQ(actual[i].sensor, expect[i].sensor);
+          EXPECT_EQ(actual[i].first_seen, expect[i].first_seen);
+          EXPECT_EQ(actual[i].local_first_seen, expect[i].local_first_seen);
+          EXPECT_EQ(actual[i].packets, expect[i].packets);
+        }
+      }
+    }
+  }
 }
 
 TEST(FederationStageTest, DemuxesRecordsAndDropsDarkApertures) {

@@ -195,9 +195,19 @@ std::string ingest_event_log(int shards) {
   config.batch_size = 32;
   ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
                         {23, 80});
-  ingest.run_hour(
-      [&packets](const ThreadedIngest::PacketFn& fn) {
-        for (const auto& pkt : packets) fn(pkt);
+  // The replayed source hands over 100-row batches; the ingest re-batches
+  // per shard at its own (smaller) batch size.
+  ingest.run_hour_batched(
+      [&packets](const ThreadedIngest::BatchFn& fn) {
+        net::PacketBatch batch;
+        for (const auto& pkt : packets) {
+          batch.push_back(pkt);
+          if (batch.size() == 100) {
+            fn(batch);
+            batch.clear();
+          }
+        }
+        if (!batch.empty()) fn(batch);
         return packets.size();
       },
       kMicrosPerHour);

@@ -36,7 +36,7 @@ class SynthesizerTest : public ::testing::Test {
 TEST_F(SynthesizerTest, PacketsAreTimeOrderedAndInWindow) {
   TrafficSynthesizer synth(pop_, scope());
   TimeMicros last = -1;
-  std::size_t n = synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  std::size_t n = synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     EXPECT_GE(p.ts, last);
     EXPECT_GE(p.ts, 0);
     EXPECT_LT(p.ts, kMicrosPerDay);
@@ -47,7 +47,7 @@ TEST_F(SynthesizerTest, PacketsAreTimeOrderedAndInWindow) {
 
 TEST_F(SynthesizerTest, AllDestinationsInsideAperture) {
   TrafficSynthesizer synth(pop_, scope());
-  synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     EXPECT_TRUE(scope().contains(p.dst)) << p.summary();
     EXPECT_FALSE(scope().contains(p.src)) << p.summary();
   });
@@ -55,7 +55,7 @@ TEST_F(SynthesizerTest, AllDestinationsInsideAperture) {
 
 TEST_F(SynthesizerTest, SourcesRespectTheirSessions) {
   TrafficSynthesizer synth(pop_, scope());
-  synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     const inet::Host* h = pop_.find(p.src);
     ASSERT_NE(h, nullptr) << p.summary();
     bool inside = false;
@@ -68,7 +68,7 @@ TEST_F(SynthesizerTest, SourcesRespectTheirSessions) {
 
 TEST_F(SynthesizerTest, VictimsEmitOnlyBackscatter) {
   TrafficSynthesizer synth(pop_, scope());
-  synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     const inet::Host* h = pop_.find(p.src);
     ASSERT_NE(h, nullptr);
     if (h->cls == inet::HostClass::kBackscatterVictim) {
@@ -87,7 +87,7 @@ TEST_F(SynthesizerTest, ScannersDeliverDetectableFlows) {
   // can work.
   TrafficSynthesizer synth(pop_, scope());
   std::map<std::uint32_t, int> per_source;
-  synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     per_source[p.src.value()]++;
   });
   int detectable_iot = 0, iot_total = 0;
@@ -106,7 +106,7 @@ TEST_F(SynthesizerTest, MisconfiguredSourcesFailTrwMargins) {
   TrafficSynthesizer synth(pop_, scope());
   std::map<std::uint32_t, std::pair<int, std::pair<TimeMicros, TimeMicros>>>
       per_source;
-  synth.run(0, kMicrosPerDay, [&](const net::Packet& p) {
+  synth.emit(0, kMicrosPerDay, [&](const net::Packet& p) {
     auto& entry = per_source[p.src.value()];
     if (entry.first == 0) entry.second.first = p.ts;
     entry.second.second = p.ts;
@@ -125,13 +125,13 @@ TEST_F(SynthesizerTest, MisconfiguredSourcesFailTrwMargins) {
 
 TEST_F(SynthesizerTest, WindowedRunsPartitionTheDay) {
   TrafficSynthesizer all(pop_, scope());
-  std::size_t total = all.run(0, kMicrosPerDay, [](const net::Packet&) {});
+  std::size_t total = all.emit(0, kMicrosPerDay, [](const net::Packet&) {});
 
   TrafficSynthesizer halves(pop_, scope());
   std::size_t first =
-      halves.run(0, kMicrosPerDay / 2, [](const net::Packet&) {});
-  std::size_t second = halves.run(kMicrosPerDay / 2, kMicrosPerDay,
-                                  [](const net::Packet&) {});
+      halves.emit(0, kMicrosPerDay / 2, [](const net::Packet&) {});
+  std::size_t second = halves.emit(kMicrosPerDay / 2, kMicrosPerDay,
+                                   [](const net::Packet&) {});
   EXPECT_EQ(total, first + second);
 }
 
@@ -139,8 +139,8 @@ TEST_F(SynthesizerTest, DeterministicAcrossRuns) {
   TrafficSynthesizer a(pop_, scope());
   TrafficSynthesizer b(pop_, scope());
   std::vector<net::Packet> pa, pb;
-  a.run(0, hours(2), [&](const net::Packet& p) { pa.push_back(p); });
-  b.run(0, hours(2), [&](const net::Packet& p) { pb.push_back(p); });
+  a.emit(0, hours(2), [&](const net::Packet& p) { pa.push_back(p); });
+  b.emit(0, hours(2), [&](const net::Packet& p) { pb.push_back(p); });
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]) << i;
 }
@@ -150,16 +150,16 @@ TEST_F(SynthesizerTest, LiveListPrunesExhaustedStreams) {
   // later windows stop rescanning them — without changing the output.
   TrafficSynthesizer whole(pop_, scope());
   std::vector<net::Packet> reference;
-  whole.run(0, kMicrosPerDay,
-            [&](const net::Packet& p) { reference.push_back(p); });
+  whole.emit(0, kMicrosPerDay,
+             [&](const net::Packet& p) { reference.push_back(p); });
 
   TrafficSynthesizer windowed(pop_, scope());
   const std::size_t streams_start = windowed.live_streams();
   ASSERT_GT(streams_start, 0u);
   std::vector<net::Packet> out;
   for (int h = 0; h < 24; ++h) {
-    windowed.run(hours(h), hours(h + 1),
-                 [&](const net::Packet& p) { out.push_back(p); });
+    windowed.emit(hours(h), hours(h + 1),
+                  [&](const net::Packet& p) { out.push_back(p); });
   }
   // Sessions end through the day: by the last window many streams are
   // pruned and their window-entry scans skipped.

@@ -7,14 +7,16 @@
 # traffic producer, parallel forest training, the annotate worker pool
 # with its ordered reorder commit, the durability layer's WAL appends off
 # the committer thread including the kill-at-random-commit recovery test,
-# and concurrent banner-rule matching).
+# and concurrent banner-rule matching), and finally an ASan+UBSan build
+# running the full test suite, where any UBSan report fails the job.
 #
-#   tools/ci.sh [build-dir] [tsan-build-dir]
+#   tools/ci.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
+ASAN_BUILD="${3:-build-asan}"
 
 echo "== build + test =="
 cmake -B "$BUILD" -S .
@@ -53,5 +55,11 @@ for t in pipeline_test producer_test annotate_test federation_test \
   echo "-- tsan: $t"
   "$TSAN_BUILD/tests/$t"
 done
+
+echo "== AddressSanitizer + UndefinedBehaviorSanitizer: full test suite =="
+cmake -B "$ASAN_BUILD" -S . -DEXIOT_SANITIZE=address,undefined
+cmake --build "$ASAN_BUILD" -j"$(nproc)"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure -j"$(nproc)"
 
 echo "CI OK"
