@@ -1,21 +1,24 @@
-// Throughput of the capture->detect stage, in two modes:
+// Throughput of the capture->detect stage, in three modes:
 //
 //   replay — one pre-synthesized hour, held as 1024-row SoA batches,
-//     pushed through ThreadedIngest::run_hour_batched at increasing shard
-//     counts. Isolates detector sharding (the producer cost is a plain
-//     replay of the stored batches).
-//   live — true end-to-end pps (synthesis + merge + detection) across a
-//     producer-threads x detector-shards grid, with the multi-threaded
-//     ParallelProducer as stage 0. This is the number that used to be
-//     clamped by the single synthesis thread.
+//     pushed through the serial ThreadedIngest::run_hour_batched, its rows
+//     routed to 1/2/4/8 lane detectors on the calling thread (the producer
+//     cost is a plain replay of the stored batches).
+//   live — serial end-to-end pps (synthesis + routing + detection on the
+//     calling thread) across the producer-partitions x detector-lanes
+//     grid: ParallelProducer::emit_batches into run_hour_batched.
+//   lanes — the pipeline's lane path (ExIotPipeline::run_hours): each of
+//     1/2/4 lanes synthesizes, filters (one federation site) and detects
+//     its own sources on its own thread via run_hour_lanes.
 //
 //   ./bench_ingest_throughput            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
-// Both tables are also written to BENCH_ingest.json for the perf
-// trajectory. Speedups are relative to the single-threaded configuration
-// and can only materialize on multi-core hardware — the binary prints the
+// All tables are also written to BENCH_ingest.json for the perf
+// trajectory. Speedups are relative to the single-lane configuration and
+// can only materialize on multi-core hardware — the binary prints the
 // core count alongside so single-core CI numbers are not misread as a
 // regression.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +28,7 @@
 #include "bench_common.h"
 #include "flow/detector.h"
 #include "inet/population.h"
+#include "pipeline/federation.h"
 #include "pipeline/ingest.h"
 #include "pipeline/producer.h"
 #include "probe/prober.h"
@@ -42,8 +46,6 @@ double env_double(const char* name, double fallback) {
 pipeline::ThreadedIngest make_ingest(int shards) {
   pipeline::IngestConfig config;
   config.num_shards = shards;
-  config.buffer_capacity = 64;
-  config.batch_size = 512;
   // Empty sink: measures capture routing + detection, not downstream.
   return pipeline::ThreadedIngest(config, flow::DetectorConfig{},
                                   flow::DetectorEvents{},
@@ -68,28 +70,58 @@ double run_replay(const std::vector<net::PacketBatch>& batches,
 }
 
 double run_live(const inet::Population& population, Cidr aperture,
-                int producers, int shards, std::size_t* packets_out,
-                obs::Tracer* tracer = nullptr) {
+                int producers, int shards, std::size_t* packets_out) {
   pipeline::ProducerConfig producer_config;
   producer_config.num_producers = producers;
-  pipeline::ParallelProducer producer(population, aperture, producer_config,
-                                      nullptr, tracer);
-  pipeline::IngestConfig ingest_config;
-  ingest_config.num_shards = shards;
-  ingest_config.buffer_capacity = 64;
-  ingest_config.batch_size = 512;
-  pipeline::ThreadedIngest ingest(ingest_config, flow::DetectorConfig{},
-                                  flow::DetectorEvents{},
-                                  probe::table1_ports(), nullptr, tracer);
+  pipeline::ParallelProducer producer(population, aperture, producer_config);
+  pipeline::ThreadedIngest ingest = make_ingest(shards);
   const auto start = std::chrono::steady_clock::now();
-  // Live runs take the batched SoA path end to end (synthesis directly
-  // into batch rows, batch-wide backscatter filtering), the same route
-  // ExIotPipeline::run_hours drives in production.
   const std::size_t count = ingest.run_hour_batched(
       [&producer](const pipeline::ThreadedIngest::BatchFn& fn) {
         return producer.emit_batches(0, kMicrosPerHour, 1024, fn);
       },
       kMicrosPerHour);
+  ingest.finish();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  if (packets_out != nullptr) *packets_out = count;
+  return static_cast<double>(count) / elapsed;
+}
+
+/// The lane path run_hours drives over the first `hours` capture hours:
+/// producer partition -> federation filter -> lane detector, one thread
+/// per lane.
+double run_lanes(const inet::Population& population, Cidr aperture,
+                 int lanes, int hours, std::size_t* packets_out,
+                 obs::Tracer* tracer = nullptr) {
+  pipeline::ProducerConfig producer_config;
+  producer_config.num_producers = lanes;
+  pipeline::ParallelProducer producer(population, aperture, producer_config);
+  const auto n = static_cast<std::size_t>(producer.num_producers());
+  pipeline::FederationStage federation(
+      pipeline::FederationConfig{aperture, 1, 0, {}}, nullptr, n);
+  pipeline::IngestConfig ingest_config;
+  ingest_config.num_shards = producer.num_producers();
+  pipeline::ThreadedIngest ingest(ingest_config, flow::DetectorConfig{},
+                                  flow::DetectorEvents{},
+                                  probe::table1_ports(), nullptr, tracer);
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t count = 0;
+  for (int h = 0; h < hours; ++h) {
+    const TimeMicros t0 = h * kMicrosPerHour;
+    const TimeMicros t1 = t0 + kMicrosPerHour;
+    count += ingest.run_hour_lanes(
+        [&](std::size_t lane, const pipeline::LaneBatchFn& detect) {
+          return federation.run_lane(
+              lane,
+              [&](const pipeline::LaneBatchFn& filter) {
+                return producer.emit_lane(lane, t0, t1, 512, filter);
+              },
+              detect);
+        },
+        t1);
+  }
   ingest.finish();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -133,7 +165,8 @@ int main() {
                  std::thread::hardware_concurrency(), packets);
   }
 
-  std::printf("replay (pre-synthesized hour; detector sharding only)\n");
+  std::printf("replay (pre-synthesized hour; serial routing to lane "
+              "detectors)\n");
   std::printf("%8s %14s %10s\n", "shards", "pps", "speedup");
   if (json != nullptr) std::fprintf(json, "  \"replay\": [");
   double base = 0.0;
@@ -156,7 +189,8 @@ int main() {
   }
   if (json != nullptr) std::fprintf(json, "\n  ],\n");
 
-  std::printf("\nlive (synthesis + merge + detection, end to end)\n");
+  std::printf("\nlive (serial synthesis + routing + detection, end to "
+              "end)\n");
   std::printf("%10s %8s %14s %10s\n", "producers", "shards", "pps",
               "speedup");
   if (json != nullptr) std::fprintf(json, "  \"live\": [");
@@ -191,11 +225,49 @@ int main() {
   }
   if (json != nullptr) std::fprintf(json, "\n  ],\n");
 
-  // Span-tracing overhead on the live 1x1 path: a disabled tracer must be
-  // a single predictable branch (<= 3% cost is the budget; see
+  // A whole day per run (one hour is ~15 ms of work at scale 0.2, too
+  // short for thread start-up to amortize), median of 3.
+  std::printf("\nlanes (the pipeline's lane path over a day: synthesis + "
+              "federation filter + detection, one thread per lane; median "
+              "of 3)\n");
+  std::printf("%8s %14s %10s\n", "lanes", "pps", "speedup");
+  if (json != nullptr) std::fprintf(json, "  \"lanes\": [");
+  double lanes_base = 0.0;
+  std::size_t day_packets = 0;
+  first = true;
+  for (const int lanes : {1, 2, 4}) {
+    std::vector<double> reps;
+    std::size_t lane_packets = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      reps.push_back(
+          run_lanes(population, aperture, lanes, 24, &lane_packets));
+    }
+    std::sort(reps.begin(), reps.end());
+    const double median = reps[1];
+    if (lanes == 1) {
+      lanes_base = median;
+      day_packets = lane_packets;
+    } else if (lane_packets != day_packets) {
+      std::printf("!! lane packet count %zu != 1-lane %zu "
+                  "(determinism violation)\n",
+                  lane_packets, day_packets);
+    }
+    std::printf("%8d %14.0f %9.2fx\n", lanes, median, median / lanes_base);
+    if (json != nullptr) {
+      std::fprintf(json,
+                   "%s\n    {\"lanes\": %d, \"pps\": %.0f, "
+                   "\"speedup\": %.3f}",
+                   first ? "" : ",", lanes, median, median / lanes_base);
+    }
+    first = false;
+  }
+  if (json != nullptr) std::fprintf(json, "\n  ],\n");
+
+  // Span-tracing overhead on the 1-lane path: a disabled tracer must be a
+  // single predictable branch (<= 3% cost is the budget; see
   // src/obs/span.h), and even 100% sampling should only pay for timestamp
   // reads and ring writes.
-  std::printf("\ntracing overhead (live, 1 producer x 1 shard)\n");
+  std::printf("\ntracing overhead (lane path, 1 lane)\n");
   std::printf("%16s %14s %10s\n", "sampling", "pps", "vs off");
   double trace_base = 0.0;
   first = true;
@@ -207,7 +279,8 @@ int main() {
     obs::Tracer* arg = rate < 0.0 ? nullptr : &tracer;
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      const double pps = run_live(population, aperture, 1, 1, nullptr, arg);
+      const double pps =
+          run_lanes(population, aperture, 1, 1, nullptr, arg);
       if (pps > best) best = pps;
     }
     if (rate < 0.0) trace_base = best;
@@ -228,10 +301,9 @@ int main() {
     std::printf("\nwrote %s\n",
                 benchx::bench_json_path("BENCH_ingest.json").c_str());
   }
-  std::printf("\nspeedup >= 2x at 4 producers (live) and >= 1.8x at 4 "
-              "shards (replay) expected on >=4 cores; on fewer cores the "
-              "threaded paths add queueing overhead without parallelism. "
-              "0%% sampling should stay within ~3%% of the no-tracer "
-              "baseline.\n");
+  std::printf("\nthe replay and live tables run on one thread, so lanes "
+              "there only add routing; the lanes table scales with cores "
+              "(expect >= 2x at 4 lanes on >= 4 cores). 0%% sampling should "
+              "stay within ~3%% of the no-tracer baseline.\n");
   return 0;
 }

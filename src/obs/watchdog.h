@@ -6,9 +6,9 @@
 //
 // A thread legitimately blocked on an empty queue is *idle*, not stalled:
 // workers mark idle() before a blocking pop / push and busy() after, and
-// idle workers are exempt from deadline checks. Producer/ingest/annotate
-// threads respawn every simulated window, so registration reuses slots by
-// name — "ingest:0" is the same logical worker across hours.
+// idle workers are exempt from deadline checks. Capture-lane threads
+// respawn every simulated window, so registration reuses slots by name —
+// "lane:0" is the same logical worker across hours.
 //
 // Health is computed on demand from beat ages, not from the monitor tick,
 // so /v1/health crosses into `stalled` within one deadline of the hang no

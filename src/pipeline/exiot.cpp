@@ -7,6 +7,17 @@
 #include "ml/features.h"
 
 namespace exiot::pipeline {
+namespace {
+
+/// Capture lanes: each lane now does what a producer thread and a detector
+/// shard used to, so the lane count is the larger of the two knobs. The
+/// producer clamps it to the host count.
+int capture_lanes(const PipelineConfig& config) {
+  return std::max({1, config.num_producer_threads,
+                   config.num_detector_shards});
+}
+
+}  // namespace
 
 ExIotPipeline::ExIotPipeline(const inet::Population& population,
                              const inet::WorldModel& world,
@@ -26,14 +37,9 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
                           &metrics_, &flight_)
                     : nullptr),
       producer_(population, config.telescope,
-                ProducerConfig{config.num_producer_threads,
-                               config.producer_batch_size, minutes(1),
-                               config.producer_queue_capacity},
-                &metrics_, &tracer_, watchdog_.get()),
+                ProducerConfig{capture_lanes(config)}, &metrics_),
       ingest_(
-          IngestConfig{config.num_detector_shards, config.buffer_capacity,
-                       config.ingest_batch_size},
-          config.detector,
+          IngestConfig{producer_.num_producers()}, config.detector,
           flow::DetectorEvents{
               .on_scanner =
                   [this](const flow::FlowSummary& summary) {
@@ -71,7 +77,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
                     auto& pending = pending_[summary.src.value()];
                     pending = PendingRecord{};
                     pending.summary = summary;
-                    // Same (src, detect_time) key the detector shard used:
+                    // Same (src, detect_time) key the detector lane used:
                     // the pending record joins the trace the kDetect span
                     // rooted, without any field in FlowSummary.
                     pending.trace = tracer_.maybe_trace(
@@ -143,7 +149,8 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
       }),
       federation_(FederationConfig{config.telescope, config.num_sites,
                                    config.active_sites, config.site_specs},
-                  &metrics_),
+                  &metrics_,
+                  static_cast<std::size_t>(producer_.num_producers())),
       annotate_(
           AnnotateStageConfig{config.num_annotate_workers,
                               config.annotate_queue_capacity},
@@ -400,19 +407,23 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
   for (std::int64_t hour = first_hour; hour < last_hour; ++hour) {
     const TimeMicros start = hour * kMicrosPerHour;
     const TimeMicros end = start + kMicrosPerHour;
-    // The hour moves through capture->detect in SoA batches: the producer
-    // synthesizes straight into PacketBatch rows, the federation stage
-    // records per-site sightings and drops rows in dark apertures, in
-    // input order (a pass-through at num_sites == 1), and the ingest stage
-    // filters each batch with one backscatter sweep (see net/batch.h).
-    ingest_.run_hour_batched(
-        [this, start, end](const ThreadedIngest::BatchFn& fn) {
-          return federation_.run_window(
-              [this, start, end](const FederationStage::BatchFn& inner) {
-                return producer_.emit_batches(
-                    start, end, config_.decode_batch_size, inner);
+    // The hour runs as capture lanes (pipeline/ingest.h): each lane, on
+    // its own thread, synthesizes its source partition straight into
+    // PacketBatch rows, passes them through the federation filter (per-site
+    // sightings into the lane's table, dark-aperture rows dropped; a
+    // pass-through at num_sites == 1) and detects them with one
+    // backscatter sweep per batch. Only detector events cross threads.
+    ingest_.run_hour_lanes(
+        [this, start, end](std::size_t lane,
+                           const LaneBatchFn& detect) {
+          return federation_.run_lane(
+              lane,
+              [this, lane, start, end](const LaneBatchFn& filter) {
+                return producer_.emit_lane(lane, start, end,
+                                           config_.decode_batch_size,
+                                           filter);
               },
-              fn);
+              detect);
         },
         end);
 

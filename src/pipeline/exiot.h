@@ -59,27 +59,24 @@ struct PipelineConfig {
   /// Annotation (feature extraction, lookups, model application) per batch.
   TimeMicros annotate_latency = seconds(30);
   TrainerConfig trainer;
-  /// Flow-detector shards for the threaded capture->detect stage; 1 keeps
-  /// the stage single-threaded. The feed output is byte-identical for any
-  /// value (see pipeline/ingest.h).
+  /// Capture lanes: run_hours synthesizes, filters and detects each source
+  /// partition on its own thread (see pipeline/ingest.h). The lane count
+  /// is max(num_producer_threads, num_detector_shards), clamped to the
+  /// host count; 1 keeps capture->detect on the calling thread. The feed
+  /// output is byte-identical for any lane count. CLI: `exiotctl --lanes`.
+  int num_producer_threads = 1;
   int num_detector_shards = 1;
-  /// Capacity of each shard's capture buffer, in packet batches.
-  std::size_t buffer_capacity = 64;
-  /// Packets per batch pushed into a shard's capture buffer.
-  std::size_t ingest_batch_size = 512;
   /// Rows per SoA PacketBatch moved through the capture->detect hot path
-  /// (producer emit, batched backscatter filtering). Any value yields the
+  /// (lane synthesis, batched backscatter filtering). Any value yields the
   /// byte-identical feed; it only trades per-batch overhead against cache
   /// footprint. CLI: `exiotctl --batch-size`.
   std::size_t decode_batch_size = 512;
-  /// Producer threads synthesizing telescope traffic (stage 0); 1 keeps
-  /// synthesis serial on the calling thread. The feed output is
-  /// byte-identical for any producers x shards combination (see
-  /// pipeline/producer.h).
-  int num_producer_threads = 1;
-  /// Packets per batch pushed into a producer queue.
+  /// Not read by ExIotPipeline: these sized the producer and detector-shard
+  /// queues, which the capture lanes replaced. They are kept only because
+  /// the benchmark under perfbench/ names them.
+  std::size_t buffer_capacity = 64;
+  std::size_t ingest_batch_size = 512;
   std::size_t producer_batch_size = 1024;
-  /// Capacity of each producer queue, in batches.
   std::size_t producer_queue_capacity = 8;
   /// Annotate-stage workers (feature extraction, model scoring, tool
   /// fingerprinting, enrichment); 1 keeps the stage serial. Results commit
@@ -113,7 +110,8 @@ struct PipelineConfig {
   /// Hours between compacted snapshots (0 = only the final one).
   int snapshot_interval_hours = 24;
   /// Telescope federation: sensor sites the aperture is carved into
-  /// (power of two; 1 = the single-telescope legacy path). The feed is
+  /// (power of two; 1 = the single-telescope legacy path; anything else
+  /// makes the constructor throw std::invalid_argument). The feed is
   /// byte-identical for any site count — see pipeline/federation.h.
   /// CLI: `exiotctl --sites`.
   int num_sites = 1;
@@ -220,7 +218,7 @@ class ExIotPipeline {
     bool ended = false;              // END_FLOW arrived before publishing.
     TimeMicros end_ts = 0;
     /// Record trace context, re-derived from (src, detect_time) — the same
-    /// sampling decision the detector shard made for its kDetect span.
+    /// sampling decision the detector lane made for its kDetect span.
     obs::TraceContext trace;
   };
 

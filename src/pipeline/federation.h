@@ -1,23 +1,30 @@
 // The telescope federation stage: N sensor sites, each monitoring one
 // sub-prefix of the telescope aperture through its own reconnecting
 // tunnel and its own (possibly skewed) clock, aggregated into the single
-// deterministic packet stream the sharded ingest consumes.
+// deterministic packet stream the flow detectors consume.
 //
 // Placement: between the producer (canonical traffic synthesis against
-// the full aperture) and the threaded ingest. Each canonical SoA batch is
-// filtered in one in-order pass: every row is attributed by destination
-// to the site whose sub-prefix it lands in, sightings and per-site packet
-// counts are recorded, and rows landing in a dark (inactive) site or
-// outside the telescope are dropped. The batch itself is forwarded when
-// nothing was dropped, a compacted copy of the kept rows otherwise.
+// the full aperture) and detection. Each canonical SoA batch is filtered
+// in one in-order pass: every row is attributed by destination to the
+// site whose sub-prefix it lands in, sightings and per-site packet counts
+// are recorded, and rows landing in a dark (inactive) site or outside the
+// telescope are dropped. The batch itself is forwarded when nothing was
+// dropped, a compacted copy of the kept rows otherwise.
 //
 // Why the filter is exact: the union of the active sites' captures, put
 // back into canonical (ts, arrival) order, is the canonical stream minus
-// the dark rows. The stage's input is in non-decreasing ts, so that order
+// the dark rows. The stage's input is in canonical order, so that order
 // is simply the input row order — no per-site queues or cross-site merge
 // are needed, and the forwarded feed is byte-identical for any site count.
 // The federation determinism matrix (tests/federation_test.cpp) asserts it
-// against the producers x shards x annotate-workers grid.
+// against the lanes x annotate-workers grid.
+//
+// Lanes: sightings are per source, so the ledger is split into one
+// SightingTable per capture lane (pipeline/lane.h). run_lane() filters one
+// lane's batches on that lane's thread into that lane's table, carrying
+// the per-row host lane through the compaction; run_window() is the same
+// pass over a one-lane stage's whole stream. deliver_event() and
+// sightings_of() read the owning lane's table, between windows.
 //
 // Clock skew: a site's local timestamp is canonical + skew. Skew colors
 // the per-sensor attribution (local_first_seen) but never the forwarding
@@ -45,6 +52,7 @@
 #include "feed/record.h"
 #include "net/batch.h"
 #include "obs/metrics.h"
+#include "pipeline/lane.h"
 #include "pipeline/tunnel.h"
 #include "telescope/site.h"
 
@@ -65,8 +73,9 @@ struct SiteSpec {
 struct FederationConfig {
   /// The full telescope prefix the canonical synthesis runs against.
   Cidr telescope{Ipv4(44, 0, 0, 0), 8};
-  /// Sensor sites the aperture is carved into (power of two; 1 = the
-  /// single-telescope legacy path).
+  /// Sensor sites the aperture is carved into (power of two, and
+  /// prefix_len + log2(num_sites) <= 32; 1 = the single-telescope legacy
+  /// path). Anything else throws std::invalid_argument at construction.
   int num_sites = 1;
   /// Sites actually capturing (first `active_sites` of the partition;
   /// 0 = all). Fewer active sites shrink the effective aperture — the
@@ -80,15 +89,25 @@ class FederationStage {
  public:
   using BatchFn = std::function<void(const net::PacketBatch&)>;
   using BatchSource = std::function<std::size_t(const BatchFn&)>;
+  using LaneSource = std::function<std::size_t(const LaneBatchFn&)>;
 
+  /// `num_lanes` splits the sighting ledger by lane_of(src); it must match
+  /// the lane count of the run_lane() callers (1 for run_window()).
   FederationStage(FederationConfig config,
-                  obs::MetricsRegistry* metrics = nullptr);
+                  obs::MetricsRegistry* metrics = nullptr,
+                  std::size_t num_lanes = 1);
 
-  /// Streams one window: pulls canonical batches from `source` (rows in
-  /// non-decreasing ts), records per-site sightings, and forwards the
+  /// Streams one window of a one-lane stage: pulls canonical batches from
+  /// `source`, records per-site sightings, and forwards the
   /// active-aperture rows to `sink` in input order. Returns the number of
   /// packets forwarded.
   std::size_t run_window(const BatchSource& source, const BatchFn& sink);
+
+  /// run_window for one lane, on that lane's thread: every row `source`
+  /// yields must belong to `lane`. Kept rows reach `sink` with their host
+  /// indices. Distinct lanes may run concurrently.
+  std::size_t run_lane(std::size_t lane, const LaneSource& source,
+                       const LaneBatchFn& sink);
 
   /// Delivery time of a detector event about `src` sent at `sent_at`: the
   /// event crosses the tunnel of every site that sighted the source and is
@@ -102,32 +121,48 @@ class FederationStage {
   /// per-aperture packet counts. Empty on the single-site fast path.
   std::vector<feed::SensorSighting> sightings_of(Ipv4 src) const;
 
+  /// Distinct sources sighted by two or more sensors, over every lane.
+  std::uint64_t multi_sensor_sources() const;
+
   ReconnectingTunnel& tunnel(std::size_t site = 0) {
     return *tunnels_[site];
   }
   int num_sites() const { return config_.num_sites; }
   int active_sites() const { return active_; }
   const telescope::SiteInfo& site(std::size_t i) const { return sites_[i]; }
-  const telescope::SightingTable& sighting_table() const {
-    return sightings_;
-  }
 
  private:
+  /// One lane's ledger and filter scratch.
+  struct Lane {
+    telescope::SightingTable sightings;
+    net::PacketBatch out;                     // Compacted rows.
+    std::vector<std::uint32_t> out_hosts;     // Their host indices.
+    std::vector<std::uint64_t> site_counts;   // Per-batch metric scratch.
+  };
+
   /// Which site's aperture `dst` lands in (a shift — apertures are equal
   /// consecutive power-of-two slices of the telescope prefix).
   std::size_t site_of(std::uint32_t dst) const {
     return (dst - config_.telescope.network().value()) >> site_shift_;
   }
+  const telescope::SightingTable& table_of(Ipv4 src) const {
+    return lanes_[lane_of(src.value(), lanes_.size())]->sightings;
+  }
+  /// Filters one batch into `lane`'s ledger and scratch. Returns the kept
+  /// rows — `batch` itself when nothing was dropped — and points
+  /// `kept_hosts` at their host indices (null when `hosts` is).
+  const net::PacketBatch& filter(Lane& lane, const net::PacketBatch& batch,
+                                 const std::uint32_t* hosts,
+                                 const std::uint32_t*& kept_hosts,
+                                 std::uint64_t& dropped);
 
   FederationConfig config_;
   int active_ = 1;
   std::uint32_t site_shift_ = 32;
   std::vector<telescope::SiteInfo> sites_;
   std::vector<std::unique_ptr<ReconnectingTunnel>> tunnels_;
-  telescope::SightingTable sightings_;
-  net::PacketBatch out_;                    // Compaction scratch, reused.
-  std::vector<std::uint64_t> site_counts_;  // Per-batch metric scratch.
-  std::vector<obs::Counter*> packets_c_;    // Per-site captured packets.
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<obs::Counter*> packets_c_;  // Per-site captured packets.
   obs::Counter* dropped_c_;
   obs::Gauge* sites_g_;
   obs::Gauge* multi_sensor_g_;

@@ -1,7 +1,11 @@
 #include "pipeline/ingest.h"
 
 #include <algorithm>
+#include <exception>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <string>
 #include <thread>
 
 namespace exiot::pipeline {
@@ -13,41 +17,28 @@ ThreadedIngest::ThreadedIngest(IngestConfig config,
                                obs::MetricsRegistry* metrics,
                                obs::Tracer* tracer,
                                obs::Watchdog* watchdog)
-    : config_(config),
-      sink_(std::move(sink)),
-      tracer_(tracer),
-      watchdog_(watchdog) {
-  config_.num_shards = std::max(1, config_.num_shards);
-  config_.buffer_capacity = std::max<std::size_t>(1, config_.buffer_capacity);
-  config_.batch_size = std::max<std::size_t>(1, config_.batch_size);
-
+    : sink_(std::move(sink)), tracer_(tracer), watchdog_(watchdog) {
+  const int n = std::max(1, config.num_shards);
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
   packets_c_ = &reg.counter("exiot_ingest_packets_total",
                             "Packets routed through the capture->detect "
                             "stage.");
-  batches_c_ = &reg.counter("exiot_ingest_batches_total",
-                            "Packet batches pushed into the capture "
-                            "buffers.");
   events_c_ = &reg.counter("exiot_ingest_events_replayed_total",
                            "Detector events replayed into the downstream "
                            "at the hour barrier.");
-  shards_g_ = &reg.gauge("exiot_ingest_shards",
-                         "Detector shards consuming the capture buffers.");
-  shards_g_->set(static_cast<double>(config_.num_shards));
+  lanes_g_ = &reg.gauge("exiot_ingest_lanes",
+                        "Capture lanes, each detecting its own sources.");
+  lanes_g_->set(static_cast<double>(n));
 
-  shards_.reserve(static_cast<std::size_t>(config_.num_shards));
-  for (int s = 0; s < config_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    Shard* sp = shard.get();
+  lanes_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    auto lane = std::make_unique<Lane>();
+    Lane* lp = lane.get();
     flow::DetectorEvents events;
-    events.on_scanner = [this, sp](const flow::FlowSummary& summary) {
-      Event e;
-      e.seq = sp->current_seq;
-      e.kind = EventKind::kScanner;
-      e.src = summary.src;
-      e.summary = summary;
-      sp->events.push_back(std::move(e));
+    events.on_scanner = [this, lp](const flow::FlowSummary& summary) {
+      lp->events.push_back(Event{key_of(*lp), EventKind::kScanner,
+                                 summary.src, summary, {}});
       if (tracer_ != nullptr && tracer_->enabled()) {
         // Root of the record trace: keyed by (src, detect_time), the same
         // identity exiot.cpp re-derives downstream — no context needs to
@@ -57,198 +48,179 @@ ThreadedIngest::ThreadedIngest(IngestConfig config,
                 summary.src.value(), summary.detect_time));
         if (ctx.sampled()) {
           const std::uint64_t now = obs::steady_micros();
-          const std::uint64_t pop = sp->batch_pop_micros;
+          const std::uint64_t start = lp->batch_start_micros;
           tracer_->record(ctx, obs::SpanStage::kDetect,
-                          pop != 0 ? pop : now,
-                          pop != 0 && now > pop ? now - pop : 0,
-                          sp->batch_wait_micros, summary.src.value(),
-                          sp->current_seq);
+                          start != 0 ? start : now,
+                          start != 0 && now > start ? now - start : 0, 0,
+                          summary.src.value(), lp->cursor);
         }
       }
     };
-    events.on_sample = [sp](Ipv4 src, const std::vector<net::Packet>& pkts) {
-      Event e;
-      e.seq = sp->current_seq;
-      e.kind = EventKind::kSample;
-      e.src = src;
-      e.sample = pkts;
-      sp->events.push_back(std::move(e));
+    events.on_sample = [lp](Ipv4 src, const std::vector<net::Packet>& pkts) {
+      lp->events.push_back(
+          Event{key_of(*lp), EventKind::kSample, src, {}, pkts});
     };
-    events.on_flow_end = [sp](const flow::FlowSummary& summary) {
-      Event e;
-      e.seq = sp->current_seq;
-      e.kind = EventKind::kFlowEnd;
-      e.src = summary.src;
-      e.summary = summary;
-      sp->events.push_back(std::move(e));
+    events.on_flow_end = [lp](const flow::FlowSummary& summary) {
+      lp->events.push_back(Event{key_of(*lp), EventKind::kFlowEnd,
+                                 summary.src, summary, {}});
     };
-    events.on_report = [sp](const flow::SecondReport& report) {
-      sp->reports.push_back(report);
+    events.on_report = [lp](const flow::SecondReport& report) {
+      lp->reports.push_back(report);
     };
-    shard->detector = std::make_unique<flow::FlowDetector>(
+    lane->detector = std::make_unique<flow::FlowDetector>(
         detector_config, std::move(events), report_ports);
-    if (config_.num_shards > 1) {
-      shard->buffer =
-          std::make_unique<BoundedBuffer<Batch>>(config_.buffer_capacity);
-      shard->buffer->instrument(
-          reg, obs::Labels{{"buffer", "capture"},
-                           {"shard", std::to_string(s)}});
-    }
-    shards_.push_back(std::move(shard));
+    lanes_.push_back(std::move(lane));
   }
 }
 
 ThreadedIngest::~ThreadedIngest() = default;
 
-std::size_t ThreadedIngest::shard_of(Ipv4 src) const {
-  // Fibonacci-hash the address so structured populations still spread
-  // evenly; any deterministic function works for correctness (all state is
-  // per-source), this one just balances the shards.
-  const std::uint64_t mixed = src.value() * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(
-      (mixed >> 32) % static_cast<std::uint64_t>(config_.num_shards));
-}
-
-void ThreadedIngest::consume_shard(std::size_t s, bool tracing_on) {
-  Shard* sp = shards_[s].get();
-  auto heartbeat = obs::Watchdog::attach(
-      watchdog_, "ingest:" + std::to_string(s));
-  while (true) {
-    heartbeat.idle();  // Blocked on an empty buffer is not a stall.
-    auto batch = sp->buffer->pop();
-    heartbeat.busy();
-    if (!batch.has_value()) break;
-    if (tracing_on) {
-      // Stamp every batch, not just sampled ones: the kDetect spans
-      // rooted inside process_batch() need the pop time and the
-      // enqueue->dequeue gap of whatever batch they fire from.
-      sp->batch_pop_micros = obs::steady_micros();
-      const std::uint64_t handoff = batch->trace.handoff_micros;
-      sp->batch_wait_micros =
-          handoff != 0 && sp->batch_pop_micros > handoff
-              ? sp->batch_pop_micros - handoff
-              : 0;
-    }
-    sp->detector->process_batch(batch->pkts, batch->seqs.data(),
-                                &sp->current_seq);
-    if (batch->trace.sampled()) {
-      const std::uint64_t now = obs::steady_micros();
-      tracer_->record(batch->trace, obs::SpanStage::kIngest,
-                      sp->batch_pop_micros,
-                      now - sp->batch_pop_micros,
-                      sp->batch_wait_micros, 0, batch->seq);
-    }
-    heartbeat.beat();
+ThreadedIngest::Key ThreadedIngest::key_of(const Lane& lane) {
+  if (lane.at_barrier) {
+    return Key{std::numeric_limits<TimeMicros>::max(),
+               std::numeric_limits<std::uint32_t>::max(),
+               std::numeric_limits<std::uint64_t>::max()};
   }
-  sp->batch_pop_micros = 0;
-  sp->batch_wait_micros = 0;
-  heartbeat.retire();
-}
-
-void ThreadedIngest::push_to_shard(std::size_t s, Batch&& batch,
-                                   bool tracing) {
-  Shard& shard = *shards_[s];
-  batch.seq = ++shard.batch_seq;
-  if (tracing) {
-    batch.trace = tracer_->maybe_trace(obs::Tracer::record_key(
-        static_cast<std::uint32_t>(s),
-        static_cast<std::int64_t>(batch.seq)));
-    // Stamped even when unsampled: detect spans rooted inside this
-    // batch still want its queue-wait attribution.
-    batch.trace.handoff_micros = obs::steady_micros();
-  }
-  (void)shard.buffer->push(std::move(batch));
-  batches_c_->inc();
-}
-
-std::size_t ThreadedIngest::run_single_batched(const BatchSource& source) {
-  Shard& shard = *shards_[0];
-  return source([this, &shard](const net::PacketBatch& batch) {
-    const std::size_t n = batch.size();
-    lane_seqs_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) lane_seqs_[i] = seq_++;
-    shard.detector->process_batch(batch, lane_seqs_.data(),
-                                  &shard.current_seq);
-  });
-}
-
-std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
-  const std::size_t n = shards_.size();
-  for (auto& shard : shards_) shard->buffer->reopen();
-
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  std::vector<std::thread> consumers;
-  consumers.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    consumers.emplace_back([this, s, tracing] { consume_shard(s, tracing); });
-  }
-
-  // Producer: scatter each source batch's rows into per-shard open SoA
-  // batches (rows keep their global arrival sequence in the parallel
-  // `seqs` lane), flushing full ones into the blocking buffers.
-  std::vector<Batch> open(n);
-  for (auto& batch : open) {
-    batch.pkts.reserve(config_.batch_size);
-    batch.seqs.reserve(config_.batch_size);
-  }
-  const std::size_t count =
-      source([this, &open, tracing](const net::PacketBatch& in) {
-        const std::size_t m = in.size();
-        const std::uint32_t* src = in.src();
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::size_t s = shard_of(Ipv4(src[i]));
-          Batch& batch = open[s];
-          batch.pkts.push_back(in[i]);
-          batch.seqs.push_back(seq_++);
-          if (batch.pkts.size() >= config_.batch_size) {
-            push_to_shard(s, std::move(batch), tracing);
-            batch = Batch();
-            batch.pkts.reserve(config_.batch_size);
-            batch.seqs.reserve(config_.batch_size);
-          }
-        }
-      });
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!open[s].pkts.empty()) {
-      push_to_shard(s, std::move(open[s]), tracing);
-    }
-    shards_[s]->buffer->close();
-  }
-  for (auto& t : consumers) t.join();
-  return count;
+  if (lane.hosts == nullptr) return Key{0, 0, lane.cursor};
+  const std::size_t row = lane.cursor - lane.base;
+  return Key{lane.ts[row], lane.hosts[row], lane.cursor};
 }
 
 std::size_t ThreadedIngest::run_hour_batched(const BatchSource& source,
                                              TimeMicros hour_end) {
-  const std::size_t count = config_.num_shards == 1
-                                ? run_single_batched(source)
-                                : run_threaded_batched(source);
+  const std::size_t n = lanes_.size();
+  const std::size_t count = source([this, n](const net::PacketBatch& in) {
+    const std::size_t m = in.size();
+    if (n == 1) {
+      Lane& lane = *lanes_[0];
+      lane.ordinals.resize(m);
+      std::iota(lane.ordinals.begin(), lane.ordinals.end(), seq_);
+      seq_ += m;
+      lane.detector->process_batch(in, lane.ordinals.data(), &lane.cursor);
+      return;
+    }
+    for (auto& lane : lanes_) {
+      lane->routed.clear();
+      lane->ordinals.clear();
+    }
+    const std::uint32_t* src = in.src();
+    for (std::size_t i = 0; i < m; ++i) {
+      Lane& lane = *lanes_[lane_of(src[i], n)];
+      lane.routed.push_back(in[i]);
+      lane.ordinals.push_back(seq_++);
+    }
+    for (auto& lane : lanes_) {
+      lane->detector->process_batch(lane->routed, lane->ordinals.data(),
+                                    &lane->cursor);
+    }
+  });
+  return barrier(count, hour_end);
+}
+
+std::size_t ThreadedIngest::run_lane(std::size_t i, const LaneSource& source,
+                                     bool tracing) {
+  Lane& lane = *lanes_[i];
+  auto heartbeat =
+      obs::Watchdog::attach(watchdog_, "lane:" + std::to_string(i));
+  std::uint64_t build_start = tracing ? obs::steady_micros() : 0;
+  const std::size_t count = source(
+      i, [&](const net::PacketBatch& batch, const std::uint32_t* hosts) {
+        const std::size_t m = batch.size();
+        lane.ordinals.resize(m);
+        std::iota(lane.ordinals.begin(), lane.ordinals.end(),
+                  lane.next_ordinal);
+        lane.base = lane.next_ordinal;
+        lane.next_ordinal += m;
+        lane.ts = batch.ts();
+        lane.hosts = hosts;
+        obs::TraceContext trace;
+        if (tracing) {
+          // One trace per lane batch, keyed by (lane, batch ordinal):
+          // building it (synthesis + federation filter) is the produce
+          // span, detecting it the ingest span. Nothing waits in a queue.
+          lane.batch_start_micros = obs::steady_micros();
+          trace = tracer_->maybe_trace(obs::Tracer::record_key(
+              static_cast<std::uint32_t>(i),
+              static_cast<std::int64_t>(++lane.batch_seq)));
+          tracer_->record(trace, obs::SpanStage::kProduce, build_start,
+                          lane.batch_start_micros - build_start, 0, 0,
+                          lane.batch_seq);
+        }
+        lane.detector->process_batch(batch, lane.ordinals.data(),
+                                     &lane.cursor);
+        if (tracing) {
+          build_start = obs::steady_micros();
+          tracer_->record(trace, obs::SpanStage::kIngest,
+                          lane.batch_start_micros,
+                          build_start - lane.batch_start_micros, 0, 0,
+                          lane.batch_seq);
+        }
+        heartbeat.beat();
+      });
+  heartbeat.retire();
+  return count;
+}
+
+std::size_t ThreadedIngest::run_hour_lanes(const LaneSource& source,
+                                           TimeMicros hour_end) {
+  const std::size_t n = lanes_.size();
+  const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  std::vector<std::size_t> counts(n, 0);
+  std::vector<std::exception_ptr> errors(n);
+  auto run = [&](std::size_t i) {
+    try {
+      counts[i] = run_lane(i, source, tracing);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+    Lane& lane = *lanes_[i];
+    lane.ts = nullptr;
+    lane.hosts = nullptr;
+    lane.batch_start_micros = 0;
+  };
+  {
+    // jthreads join on destruction, so even a failed thread launch
+    // leaves no joinable thread behind.
+    std::vector<std::jthread> threads;
+    threads.reserve(n - 1);
+    for (std::size_t i = 1; i < n; ++i) threads.emplace_back(run, i);
+    run(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::size_t count = 0;
+  for (const std::size_t c : counts) count += c;
+  return barrier(count, hour_end);
+}
+
+std::size_t ThreadedIngest::barrier(std::size_t count, TimeMicros hour_end) {
   packets_c_->inc(count);
-  // Hour barrier: the shards are quiescent now. Expiry events sort after
-  // every packet of the hour (they all share seq_ == packets so far).
-  for (auto& shard : shards_) {
-    shard->current_seq = seq_;
-    shard->detector->end_of_hour(hour_end);
+  for (auto& lane : lanes_) {
+    lane->at_barrier = true;
+    lane->detector->end_of_hour(hour_end);
+    lane->at_barrier = false;
   }
   drain();
   return count;
 }
 
 void ThreadedIngest::finish() {
-  for (auto& shard : shards_) {
-    shard->current_seq = seq_;
-    shard->detector->finish();
+  for (auto& lane : lanes_) {
+    lane->at_barrier = true;
+    lane->detector->finish();
+    lane->at_barrier = false;
   }
   drain();
 }
 
 void ThreadedIngest::drain() {
-  // Per-second reports: each shard saw only its slice of the stream, so
+  // Per-second reports: each lane saw only its slice of the stream, so
   // same-second partial reports are summed before replay. Replaying in
   // ascending second order reproduces the single-detector report stream.
   std::map<TimeMicros, flow::SecondReport> merged;
-  for (auto& shard : shards_) {
-    for (flow::SecondReport& report : shard->reports) {
+  for (auto& lane : lanes_) {
+    for (flow::SecondReport& report : lane->reports) {
       auto [it, fresh] = merged.try_emplace(report.second_start);
       flow::SecondReport& into = it->second;
       if (fresh) {
@@ -265,26 +237,31 @@ void ThreadedIngest::drain() {
         }
       }
     }
-    shard->reports.clear();
+    lane->reports.clear();
   }
   if (sink_.on_report) {
     for (auto& [second, report] : merged) sink_.on_report(report);
   }
 
-  // Control events: merge all shards by (seq, src, kind) — the exact order
-  // a single detector over the unsharded stream would have emitted them.
+  // Control events: merge all lanes by (ts, host, ordinal, src, kind) —
+  // the exact order a single detector over the canonical stream would
+  // have emitted them.
   std::vector<Event> events;
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->events.size();
+  for (const auto& lane : lanes_) total += lane->events.size();
   events.reserve(total);
-  for (auto& shard : shards_) {
-    std::move(shard->events.begin(), shard->events.end(),
+  for (auto& lane : lanes_) {
+    std::move(lane->events.begin(), lane->events.end(),
               std::back_inserter(events));
-    shard->events.clear();
+    lane->events.clear();
   }
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) {
-              if (a.seq != b.seq) return a.seq < b.seq;
+              if (a.key.ts != b.key.ts) return a.key.ts < b.key.ts;
+              if (a.key.host != b.key.host) return a.key.host < b.key.host;
+              if (a.key.ordinal != b.key.ordinal) {
+                return a.key.ordinal < b.key.ordinal;
+              }
               if (a.src.value() != b.src.value()) {
                 return a.src.value() < b.src.value();
               }
@@ -308,8 +285,8 @@ void ThreadedIngest::drain() {
 
 flow::DetectorStats ThreadedIngest::stats() const {
   flow::DetectorStats sum;
-  for (const auto& shard : shards_) {
-    const flow::DetectorStats& s = shard->detector->stats();
+  for (const auto& lane : lanes_) {
+    const flow::DetectorStats& s = lane->detector->stats();
     sum.packets_processed += s.packets_processed;
     sum.backscatter_filtered += s.backscatter_filtered;
     sum.scanners_detected += s.scanners_detected;
@@ -322,7 +299,7 @@ flow::DetectorStats ThreadedIngest::stats() const {
 
 std::size_t ThreadedIngest::tracked_sources() const {
   std::size_t sum = 0;
-  for (const auto& shard : shards_) sum += shard->detector->tracked_sources();
+  for (const auto& lane : lanes_) sum += lane->detector->tracked_sources();
   return sum;
 }
 

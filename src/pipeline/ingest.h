@@ -1,28 +1,36 @@
-// The threaded capture→detect stage. The paper decouples the 1M pps
-// telescope capture from downstream modules with a 15 GB mbuffer; this
-// stage reproduces that architecture: a producer (the traffic synthesizer,
-// standing in for the capture card) emits the time-ordered packet stream
-// as SoA batches, whose rows are sharded by source IP into per-shard
-// blocking BoundedBuffers and consumed by N FlowDetector shards on their
-// own threads.
+// The capture->detect stage, run as source-partitioned capture lanes. The
+// paper decouples the 1M pps telescope capture from the downstream modules
+// with a 15 GB mbuffer; here the stage is split by source instead of
+// queued. The flow detector keeps all of its state per source IP, so the
+// telescope stream splits by source with no loss: lane i owns the sources
+// lane_of() (pipeline/lane.h) maps to i and runs its own FlowDetector.
 //
-// Sharding by source is what makes the detectors lock-free: all TRW /
-// flow-table state is keyed by source IP, and every packet of a source
-// lands in the same shard, in arrival order. The shared per-second report
-// and the control events (SCANNER / SAMPLE / END_FLOW) are the only
-// cross-shard outputs, and both are funneled back to the single-threaded
-// downstream at the hour barrier:
+// run_hour_lanes() is the production path (ExIotPipeline::run_hours). On
+// its own thread, each lane pulls its partition's batches from the lane
+// source — synthesis and the federation filter, on that same thread — and
+// detects them. Packets never cross threads; only detector events and
+// per-second partial reports do, at the hour barrier:
 //
-//   - control events carry the global arrival sequence number of the
-//     packet that triggered them; the barrier merges all shards' queues by
-//     (seq, src, kind) — exactly the order a single detector would have
-//     emitted them, so the feed output is byte-identical for any shard
-//     count (virtual-time determinism);
-//   - per-shard partial SecondReports are summed by second and replayed
-//     in ascending second order, reproducing the global report stream.
+//   - every event is keyed by the packet that triggered it:
+//     (ts, global host index, lane ordinal). Canonical order is
+//     (ts, host), and one host's packets stay in order inside one lane,
+//     so the key orders packets exactly as the canonical stream does; the
+//     events of one packet follow in (src, kind) order. The merge thus
+//     replays the events a single detector over the canonical stream
+//     would have emitted, in its order, and the feed is byte-identical
+//     for any lane count. Barrier events (expiry, finish) sort after
+//     every packet's, by (src, kind);
+//   - per-lane partial SecondReports are summed by second and replayed in
+//     ascending second order, reproducing the single-detector stream.
 //
-// `num_shards == 1` falls back to a fully single-threaded path (no
-// buffers, no threads) with the same deferred-event semantics.
+// A throwing lane source does not take the process down: each lane
+// catches its own exception, every lane is joined, and the first (lowest
+// lane) exception is rethrown on the caller.
+//
+// run_hour_batched() is the serial path (trace replay, the benches): one
+// canonical stream on the calling thread, each batch's rows routed to
+// their source's lane detector and keyed by arrival sequence, which is
+// the canonical order itself.
 #pragma once
 
 #include <cstdint>
@@ -32,23 +40,23 @@
 
 #include "common/types.h"
 #include "flow/detector.h"
+#include "net/batch.h"
 #include "net/packet.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
-#include "pipeline/buffer.h"
+#include "pipeline/lane.h"
 
 namespace exiot::pipeline {
 
 struct IngestConfig {
-  /// FlowDetector shards consuming the capture buffers (1 = single-
-  /// threaded fallback on the calling thread).
+  /// Capture lanes, one FlowDetector each. The event stream is
+  /// byte-identical for any value.
   int num_shards = 1;
-  /// Capacity of each shard's capture buffer, in packet batches. The
-  /// paper's 15 GB mbuffer scaled to batches: capacity * batch_size
-  /// packets of slack before back-pressure reaches the producer.
+  /// Not read: these sized the shard capture buffers, which are gone.
+  /// They stay so existing aggregate initializers (the benchmark under
+  /// perfbench/) still compile.
   std::size_t buffer_capacity = 64;
-  /// Packets per batch pushed into a shard buffer (amortizes locking).
   std::size_t batch_size = 512;
 };
 
@@ -56,13 +64,17 @@ class ThreadedIngest {
  public:
   using BatchFn = std::function<void(const net::PacketBatch&)>;
   /// A batched packet source: invokes the callback once per SoA batch
-  /// (rows in non-decreasing timestamp order across calls), returning the
-  /// total number of packets emitted. The callback borrows the batch only
-  /// for the duration of the call.
+  /// (rows in canonical order across calls), returning the total number
+  /// of packets emitted. The callback borrows the batch only for the call.
   using BatchSource = std::function<std::size_t(const BatchFn&)>;
+  /// A lane's packet source, called on that lane's thread with the lane
+  /// index: delivers the lane's batches (rows of the lane's own sources,
+  /// canonical order, with host indices) and returns their packet count.
+  using LaneSource =
+      std::function<std::size_t(std::size_t lane, const LaneBatchFn&)>;
 
   /// `sink` receives the merged detector events; its callbacks run on the
-  /// thread calling run_hour_batched()/finish(), never concurrently.
+  /// thread calling run_hour_*()/finish(), never concurrently.
   ThreadedIngest(IngestConfig config, flow::DetectorConfig detector_config,
                  flow::DetectorEvents sink,
                  std::vector<std::uint16_t> report_ports = {},
@@ -74,86 +86,90 @@ class ThreadedIngest {
   ThreadedIngest(const ThreadedIngest&) = delete;
   ThreadedIngest& operator=(const ThreadedIngest&) = delete;
 
-  /// Runs one capture hour: streams `source`'s SoA batches through the
-  /// shards (one std::function call and one backscatter sweep per batch),
-  /// runs the expiry sweep at `hour_end`, and replays all detector events
-  /// into the sink before returning. Returns the number of packets
-  /// processed.
+  /// Runs one capture hour serially: streams `source`'s SoA batches
+  /// through the lane detectors on the calling thread, runs the expiry
+  /// sweep at `hour_end`, and replays all detector events into the sink
+  /// before returning. Returns the number of packets processed.
   std::size_t run_hour_batched(const BatchSource& source,
                                TimeMicros hour_end);
 
-  /// End of deployment: flushes every shard (END_FLOW for all detected
+  /// Runs one capture hour as lanes: lane i runs `source(i, ...)` and its
+  /// own detector on its own thread (lane 0 on the calling thread), then
+  /// the barrier sweeps and replays as run_hour_batched does. If any lane
+  /// throws, all lanes are joined and the lowest lane's exception is
+  /// rethrown; the ingest is then fit only for destruction.
+  std::size_t run_hour_lanes(const LaneSource& source, TimeMicros hour_end);
+
+  /// End of deployment: flushes every lane (END_FLOW for all detected
   /// flows, final partial reports) and replays the events into the sink.
   void finish();
 
-  /// Detector counters summed across shards.
+  /// Detector counters summed across lanes.
   flow::DetectorStats stats() const;
   std::size_t tracked_sources() const;
-  int num_shards() const { return config_.num_shards; }
+  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
  private:
-  /// One capture-buffer hand-off. The trace context (sampled per batch,
-  /// keyed by shard x batch ordinal) times the enqueue->dequeue gap the
-  /// batch spent waiting for its detector shard.
-  struct Batch {
-    net::PacketBatch pkts;
-    std::vector<std::uint64_t> seqs;  // Global arrival seq, per pkts row.
-    obs::TraceContext trace;
-    std::uint64_t seq = 0;  // Per-shard batch ordinal.
-  };
-
   /// Replay ranks: a packet triggers at most one scanner event, and at a
   /// barrier a source emits its (incomplete) sample before its END_FLOW.
   enum class EventKind { kScanner = 0, kSample = 1, kFlowEnd = 2 };
 
+  /// The merge key of the packet an event fired on (see the header
+  /// comment). The serial path keys by arrival sequence alone.
+  struct Key {
+    TimeMicros ts = 0;
+    std::uint32_t host = 0;
+    std::uint64_t ordinal = 0;
+  };
+
   struct Event {
-    std::uint64_t seq = 0;
+    Key key;
     EventKind kind = EventKind::kScanner;
     Ipv4 src;
     flow::FlowSummary summary;        // kScanner / kFlowEnd.
     std::vector<net::Packet> sample;  // kSample.
   };
 
-  /// One detector shard. During an hour, `events`/`reports`/`current_seq`
-  /// are written only by the shard's consumer thread (or the calling
-  /// thread in the single-shard fallback); the barrier reads them after
-  /// join(), so no locking is needed.
-  struct Shard {
+  /// One capture lane. During an hour its fields are touched only by the
+  /// lane's thread (the calling thread on the serial path); the barrier
+  /// reads them after the join.
+  struct Lane {
     std::unique_ptr<flow::FlowDetector> detector;
-    std::unique_ptr<BoundedBuffer<Batch>> buffer;  // num_shards > 1 only.
     std::vector<Event> events;
     std::vector<flow::SecondReport> reports;
-    std::uint64_t current_seq = 0;
-    std::uint64_t batch_seq = 0;  // Producer-side batch ordinal.
-    /// Timing of the batch currently being processed, written by the
-    /// shard's consumer thread before each process_batch() run and
-    /// read by the detection callbacks on that same thread (kDetect span
-    /// roots). Zeroed at barriers (calling thread, consumers joined).
-    std::uint64_t batch_pop_micros = 0;
-    std::uint64_t batch_wait_micros = 0;
+    /// The batch being detected, read by the event callbacks:
+    /// process_batch() stores each row's ordinal in `cursor` first.
+    std::uint64_t cursor = 0;
+    std::uint64_t base = 0;                // Ordinal of the batch's row 0.
+    const TimeMicros* ts = nullptr;        // Row timestamps.
+    const std::uint32_t* hosts = nullptr;  // Row hosts; null: serial path.
+    bool at_barrier = false;
+    std::uint64_t next_ordinal = 0;       // Lane packets so far.
+    std::vector<std::uint64_t> ordinals;  // process_batch ordinal lane.
+    net::PacketBatch routed;              // Serial-path routing scratch.
+    std::uint64_t batch_seq = 0;          // Trace key ordinal.
+    /// steady_micros() when the current batch reached the detector
+    /// (0 outside a traced lane batch): the kDetect span start.
+    std::uint64_t batch_start_micros = 0;
   };
 
-  std::size_t shard_of(Ipv4 src) const;
-  std::size_t run_single_batched(const BatchSource& source);
-  std::size_t run_threaded_batched(const BatchSource& source);
-  /// Consumer-side loop of run_threaded_batched, one per shard thread.
-  void consume_shard(std::size_t s, bool tracing_on);
-  /// Stamps trace context / batch ordinal and pushes into a shard buffer.
-  void push_to_shard(std::size_t s, Batch&& batch, bool tracing);
-  /// Merges and replays all shards' queued events/reports into the sink.
+  static Key key_of(const Lane& lane);
+  /// One lane's hour, on the lane's thread.
+  std::size_t run_lane(std::size_t i, const LaneSource& source,
+                       bool tracing);
+  /// Hour barrier: expiry sweep in every lane, then drain().
+  std::size_t barrier(std::size_t count, TimeMicros hour_end);
+  /// Merges and replays all lanes' queued events/reports into the sink.
   void drain();
 
-  IngestConfig config_;
   flow::DetectorEvents sink_;
   obs::Tracer* tracer_;
   obs::Watchdog* watchdog_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t seq_ = 0;
-  std::vector<std::uint64_t> lane_seqs_;  // run_single_batched scratch.
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::uint64_t seq_ = 0;  // Serial-path arrival sequence.
   obs::Counter* packets_c_;
-  obs::Counter* batches_c_;
   obs::Counter* events_c_;
-  obs::Gauge* shards_g_;
+  obs::Gauge* lanes_g_;
 };
 
 }  // namespace exiot::pipeline

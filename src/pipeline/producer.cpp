@@ -6,29 +6,18 @@ namespace exiot::pipeline {
 
 ParallelProducer::ParallelProducer(const inet::Population& pop,
                                    Cidr aperture, ProducerConfig config,
-                                   obs::MetricsRegistry* metrics,
-                                   obs::Tracer* tracer,
-                                   obs::Watchdog* watchdog)
-    : config_(config), tracer_(tracer), watchdog_(watchdog) {
-  config_.num_producers = std::max(1, config_.num_producers);
-  config_.batch_size = std::max<std::size_t>(1, config_.batch_size);
-  config_.batch_span = std::max<TimeMicros>(1, config_.batch_span);
-  config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  // No point spinning up more producers than there are host streams.
+                                   obs::MetricsRegistry* metrics) {
+  // No point in more partitions than there are host streams.
   const auto n_hosts = pop.hosts().size();
-  if (n_hosts > 0) {
-    config_.num_producers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(config_.num_producers), n_hosts));
-  }
+  std::size_t k =
+      static_cast<std::size_t>(std::max(1, config.num_producers));
+  if (n_hosts > 0) k = std::min(k, n_hosts);
 
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
   packets_c_ = &reg.counter("exiot_producer_packets_total",
                             "Packets emitted by the traffic producer "
-                            "stage (after the deterministic merge).");
-  batches_c_ = &reg.counter("exiot_producer_batches_total",
-                            "Packet batches pushed into the producer "
-                            "queues.");
+                            "stage.");
   pruned_c_ = &reg.counter("exiot_synth_streams_pruned_total",
                            "Exhausted host streams removed from the live "
                            "emit lists.");
@@ -36,195 +25,46 @@ ParallelProducer::ParallelProducer(const inet::Population& pop,
       "exiot_synth_dead_stream_scans_avoided_total",
       "Window-entry scans of exhausted streams skipped thanks to the "
       "compacted live lists.");
-  producers_g_ = &reg.gauge("exiot_producer_threads",
-                            "Producer threads synthesizing telescope "
-                            "traffic.");
-  producers_g_->set(static_cast<double>(config_.num_producers));
-  batch_h_ = &reg.histogram("exiot_producer_batch_packets",
-                            "Packets per batch pushed into the producer "
-                            "queues.",
-                            obs::size_buckets());
 
-  const auto k = static_cast<std::size_t>(config_.num_producers);
   partitions_.reserve(k);
   for (std::size_t p = 0; p < k; ++p) {
-    auto part = std::make_unique<Partition>();
-    if (k > 1) {
-      part->queue =
-          std::make_unique<BoundedBuffer<ProducerBatch>>(
-              config_.queue_capacity);
-      part->queue->instrument(
-          reg, obs::Labels{{"buffer", "producer"},
-                           {"producer", std::to_string(p)}});
-    }
-    partitions_.push_back(std::move(part));
+    partitions_.push_back(std::make_unique<Partition>());
   }
-  // Round-robin partition: host i -> producer i % K. Any disjoint
-  // partition is correct (the merge keys on the global host index carried
-  // per packet); round-robin just balances heavy and light hosts.
   for (std::size_t i = 0; i < n_hosts; ++i) {
-    Partition& part = *partitions_[i % k];
+    const inet::Host& host = pop.hosts()[i];
+    Partition& part = *partitions_[lane_of(host.addr.value(), k)];
     part.live.push_back(static_cast<std::uint32_t>(part.streams.size()));
     part.hosts.push_back(static_cast<std::uint32_t>(i));
-    part.streams.emplace_back(pop, pop.hosts()[i], aperture);
+    part.streams.emplace_back(pop, host, aperture);
   }
 }
 
-ParallelProducer::~ParallelProducer() {
-  close_queues();
-  join_workers();
-}
-
-std::size_t ParallelProducer::emit_threaded(
-    TimeMicros t0, TimeMicros t1, std::size_t batch_size,
-    const std::function<void(const net::PacketBatch&)>& fn) {
-  start_window(t0, t1);
-  // The K-way merge: advance the cursor holding the smallest
-  // (ts, host) head; refill a drained cursor from its queue (blocking
-  // until the producer pushes or closes).
-  std::vector<Cursor> cursors(partitions_.size());
-  batch_.reserve(batch_size);
-  batch_.clear();
-  std::size_t count = 0;
-  while (true) {
-    int best = -1;
-    for (std::size_t p = 0; p < cursors.size(); ++p) {
-      Cursor& cur = cursors[p];
-      if (cur.done) continue;
-      if (cur.pos >= cur.batch.items.size() && !refill(p, cur)) continue;
-      if (best < 0 ||
-          heads_before(cur, cursors[static_cast<std::size_t>(best)])) {
-        best = static_cast<int>(p);
-      }
-    }
-    if (best < 0) break;
-    Cursor& winner = cursors[static_cast<std::size_t>(best)];
-    batch_.push_back(winner.batch.items[winner.pos++].pkt);
-    ++count;
-    if (batch_.size() >= batch_size) {
-      fn(static_cast<const net::PacketBatch&>(batch_));
-      batch_.clear();
-    }
-  }
-  join_workers();
-  packets_c_->inc(count);
-  if (!batch_.empty()) {
-    fn(static_cast<const net::PacketBatch&>(batch_));
-    batch_.clear();
-  }
-  return count;
-}
-
-void ParallelProducer::start_window(TimeMicros t0, TimeMicros t1) {
-  workers_.reserve(partitions_.size());
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    Partition* part = partitions_[p].get();
-    part->queue->reopen();
-    workers_.emplace_back(
-        [this, p, part, t0, t1] { produce(p, *part, t0, t1); });
-  }
-}
-
-void ParallelProducer::produce(std::size_t p, Partition& part,
-                               TimeMicros t0, TimeMicros t1) {
-  auto heartbeat = obs::Watchdog::attach(
-      watchdog_, "producer:" + std::to_string(p));
+void ParallelProducer::enter(Partition& part, TimeMicros t0, TimeMicros t1,
+                             std::vector<telescope::MergeSlot>& slots) {
   const std::uint64_t avoided = part.streams.size() - part.live.size();
   part.dead_scans_avoided += avoided;
   dead_scans_c_->inc(avoided);
   const std::size_t pruned_before = part.pruned;
-
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  ProducerBatch batch;
-  batch.items.reserve(config_.batch_size);
-  TimeMicros batch_start = 0;
-  std::uint64_t build_start = 0;
-  auto flush = [this, p, &part, &batch, &build_start, &heartbeat,
-                tracing]() {
-    batch_h_->observe(static_cast<double>(batch.items.size()));
-    batch.seq = ++part.batch_seq;
-    if (tracing) {
-      // Keyed by (partition, batch ordinal): batch boundaries depend only
-      // on the partition's own deterministic stream, so the sampled set is
-      // stable run to run.
-      batch.trace = tracer_->maybe_trace(obs::Tracer::record_key(
-          static_cast<std::uint32_t>(p), static_cast<std::int64_t>(
-              batch.seq)));
-      if (batch.trace.sampled()) {
-        const std::uint64_t now = obs::steady_micros();
-        batch.build_micros = now - build_start;
-        batch.trace.handoff_micros = now;
-      }
-    }
-    build_start = 0;
-    // A full queue back-pressures here: waiting on the merge is idle time,
-    // not a stall.
-    heartbeat.idle();
-    const bool pushed = part.queue->push(std::move(batch));
-    heartbeat.busy();
-    if (!pushed) return false;
-    batches_c_->inc();
-    batch = ProducerBatch();
-    batch.items.reserve(config_.batch_size);
-    return true;
-  };
-  telescope::emit_window(
-      part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-      [this, &batch, &batch_start, &build_start, &flush, tracing](
-          const net::Packet& pkt, std::uint32_t host) {
-        if (batch.items.empty()) {
-          batch_start = pkt.ts;
-          if (tracing) build_start = obs::steady_micros();
-        }
-        batch.items.push_back(SynthPacket{pkt, host});
-        if (batch.items.size() >= config_.batch_size ||
-            pkt.ts - batch_start >= config_.batch_span) {
-          // A refused push means the queue was closed under us (merger
-          // shutdown): abort the window.
-          return flush();
-        }
-        return true;
-      });
-  if (!batch.items.empty()) (void)flush();
+  telescope::enter_window(part.streams, part.hosts.data(), part.live, t0, t1,
+                          part.pruned, slots);
   pruned_c_->inc(part.pruned - pruned_before);
-  part.queue->close();
-  heartbeat.retire();
 }
 
-bool ParallelProducer::refill(std::size_t p, Cursor& cursor) {
-  while (true) {
-    auto batch = partitions_[p]->queue->pop();
-    if (!batch.has_value()) {
-      cursor.done = true;
-      return false;
-    }
-    if (batch->items.empty()) continue;
-    if (batch->trace.sampled()) {
-      // The produce span closes when the merge picks the batch up: build
-      // time is processing, the enqueue->dequeue gap is queue wait.
-      const std::uint64_t now = obs::steady_micros();
-      const std::uint64_t handoff = batch->trace.handoff_micros;
-      tracer_->record(batch->trace, obs::SpanStage::kProduce,
-                      handoff - batch->build_micros, batch->build_micros,
-                      now > handoff ? now - handoff : 0, 0, batch->seq);
-    }
-    cursor.batch = std::move(*batch);
-    cursor.pos = 0;
-    return true;
-  }
-}
-
-void ParallelProducer::close_queues() {
-  for (auto& part : partitions_) {
-    if (part->queue != nullptr) part->queue->close();
-  }
-}
-
-void ParallelProducer::join_workers() {
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+std::size_t ParallelProducer::emit_lane(std::size_t lane, TimeMicros t0,
+                                        TimeMicros t1,
+                                        std::size_t batch_size,
+                                        const LaneBatchFn& fn) {
+  Partition& part = *partitions_[lane];
+  part.slots.clear();
+  enter(part, t0, t1, part.slots);
+  part.batch.reserve(batch_size);
+  const std::size_t count = telescope::merge_window(
+      part.slots, t1, batch_size, part.batch, &part.row_hosts,
+      [&part, &fn](const net::PacketBatch& batch) {
+        fn(batch, part.row_hosts.data());
+      });
+  packets_c_->inc(count);
+  return count;
 }
 
 std::uint64_t ParallelProducer::streams_pruned() const {

@@ -1,121 +1,78 @@
-// Stage 0 of the pipeline, parallelized: the multi-threaded traffic
-// producer. The telescope sustains ~1M pps into the mbuffer, and after the
-// capture->detect stage was sharded (pipeline/ingest.h) the single-threaded
-// synthesizer merge became the pipeline's serial bottleneck. This stage
-// partitions the host streams round-robin across K producer threads; each
-// thread runs its own local heap-merge (telescope::emit_window) over its
-// partition and pushes fixed-size, time-bounded packet batches into a
-// per-producer BoundedBuffer. A merger on the calling thread performs a
-// deterministic K-way merge over the producer queues by (ts, host_index) —
-// the same total order the serial synthesizer emits — and re-batches the
-// merged stream into SoA batches for the caller (the federation stage and
-// ThreadedIngest, which stamps the global arrival sequence numbers and
-// routes rows into the per-shard capture buffers).
+// Stage 0 of the pipeline: the telescope traffic source, partitioned by
+// source for the capture lanes (pipeline/ingest.h). A host stream is one
+// source IP, so partition p holds exactly the hosts whose address
+// lane_of() (pipeline/lane.h) maps to p. Lane p synthesizes its partition
+// with emit_lane() on its own thread and touches no other partition.
 //
-// Because every partition's stream is sorted by (ts, host_index) and host
-// indices are disjoint across partitions, the head-of-queue merge
-// reconstructs exactly the serial arrival order: the packet stream — and
-// therefore the ingest event log and the exported feed — is byte-identical
-// for any (producer_threads x detector_shards) combination.
-//
-// `num_producers == 1` short-circuits to a fully serial emit on the
-// calling thread (no queues, no threads) that synthesizes straight into
-// batch rows, so the baseline configuration pays nothing for the
-// machinery.
+// Serial callers (trace capture, the benches, the replay chain) use
+// emit_batches(), which merges every partition on the calling thread with
+// one loser tree over all partitions' live streams (telescope::
+// merge_window), keyed by the global host index. The stream is the
+// canonical (ts, host_index) order, byte-identical for any partition
+// count; there are no threads and no queues.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "inet/population.h"
-#include "net/packet.h"
+#include "net/batch.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/watchdog.h"
-#include "pipeline/buffer.h"
+#include "pipeline/lane.h"
 #include "telescope/synthesizer.h"
 
 namespace exiot::pipeline {
 
 struct ProducerConfig {
-  /// Producer threads synthesizing traffic (1 = serial fallback on the
-  /// calling thread). The emitted stream is byte-identical for any value.
+  /// Source partitions, one per capture lane (clamped to the host count).
+  /// The emitted stream is byte-identical for any value.
   int num_producers = 1;
-  /// Packets per batch pushed into a producer queue (the fixed-size bound).
+  /// Not read: these sized the producer threads' batches and queues,
+  /// which are gone. They stay so existing aggregate initializers (the
+  /// benchmark under perfbench/) still compile.
   std::size_t batch_size = 1024;
-  /// Maximum traffic time one batch may span (the time bound): a slow,
-  /// sparse partition still surrenders its packets to the merger promptly
-  /// instead of sitting on a half-filled batch for the whole window.
   TimeMicros batch_span = minutes(1);
-  /// Capacity of each producer queue, in batches. A full queue
-  /// back-pressures its producer thread (blocking push, no data loss).
   std::size_t queue_capacity = 8;
-};
-
-/// One synthesized packet annotated with its global host index — the
-/// deterministic tie-break the K-way merge orders equal timestamps by.
-struct SynthPacket {
-  net::Packet pkt;
-  std::uint32_t host = 0;
-};
-
-/// One producer thread's unit of hand-off to the K-way merge. The trace
-/// context (sampled per batch, keyed by partition x batch ordinal) lets the
-/// merge side attribute batch build time vs. queue-wait time.
-struct ProducerBatch {
-  std::vector<SynthPacket> items;
-  obs::TraceContext trace;
-  std::uint64_t build_micros = 0;  // Wall time spent filling the batch.
-  std::uint64_t seq = 0;           // Per-partition batch ordinal.
 };
 
 class ParallelProducer {
  public:
   ParallelProducer(const inet::Population& pop, Cidr aperture,
                    ProducerConfig config = {},
-                   obs::MetricsRegistry* metrics = nullptr,
-                   obs::Tracer* tracer = nullptr,
-                   obs::Watchdog* watchdog = nullptr);
-  ~ParallelProducer();
+                   obs::MetricsRegistry* metrics = nullptr);
 
   ParallelProducer(const ParallelProducer&) = delete;
   ParallelProducer& operator=(const ParallelProducer&) = delete;
 
-  /// Emits every packet with ts in [t0, t1) in the canonical
-  /// (ts, host_index) arrival order, delivered as SoA batches of
+  /// Emits every packet with ts in [t0, t1), from every partition, in the
+  /// canonical (ts, host_index) order, delivered as SoA batches of
   /// `batch_size` rows via `fn(const net::PacketBatch&)` on the calling
-  /// thread (void return; the batch is borrowed only for the call). The
-  /// serial fallback synthesizes directly into batch rows (no per-packet
-  /// callback at all); with K > 1 producers the per-packet K-way merge
-  /// output is re-batched on the calling thread. If `fn` throws, the
-  /// exception propagates with the workers still parked; the destructor
-  /// closes the queues and joins them. Returns the number of packets
-  /// emitted.
+  /// thread (void return; the batch is borrowed only for the call). If
+  /// `fn` throws, the exception propagates and the streams are left
+  /// mid-window. Returns the number of packets emitted.
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,
                            std::size_t batch_size, BatchFn&& fn) {
-    if (partitions_.size() == 1) {
-      Partition& part = *partitions_[0];
-      const std::uint64_t avoided = part.streams.size() - part.live.size();
-      part.dead_scans_avoided += avoided;
-      dead_scans_c_->inc(avoided);
-      const std::size_t pruned_before = part.pruned;
-      batch_.reserve(batch_size);
-      const std::size_t count = telescope::emit_window_batch(
-          part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-          batch_size, batch_, fn);
-      pruned_c_->inc(part.pruned - pruned_before);
-      packets_c_->inc(count);
-      return count;
-    }
-    return emit_threaded(
-        t0, t1, batch_size,
-        [&fn](const net::PacketBatch& batch) { fn(batch); });
+    slots_.clear();
+    for (auto& part : partitions_) enter(*part, t0, t1, slots_);
+    batch_.reserve(batch_size);
+    const std::size_t count =
+        telescope::merge_window(slots_, t1, batch_size, batch_, nullptr,
+                                std::forward<BatchFn>(fn));
+    packets_c_->inc(count);
+    return count;
   }
+
+  /// Lane `lane`'s share of emit_batches: its partition's packets with ts
+  /// in [t0, t1) in canonical order, with each row's global host index
+  /// (see LaneBatchFn). Touches only that partition's streams and
+  /// scratch, so distinct lanes may run concurrently, each on its own
+  /// thread. Returns the number of packets emitted.
+  std::size_t emit_lane(std::size_t lane, TimeMicros t0, TimeMicros t1,
+                        std::size_t batch_size, const LaneBatchFn& fn);
 
   int num_producers() const {
     return static_cast<int>(partitions_.size());
@@ -127,65 +84,35 @@ class ParallelProducer {
   /// Host streams still able to produce packets.
   std::size_t live_streams() const;
   std::uint64_t packets_emitted() const { return packets_c_->value(); }
-  std::uint64_t batches_emitted() const { return batches_c_->value(); }
 
  private:
-  /// One producer thread's share of the host streams. During a threaded
-  /// window, `streams`/`live`/`pruned`/`dead_scans_avoided` are touched
-  /// only by the partition's worker thread; between windows only the
-  /// calling thread reads them (the worker is joined).
+  /// One lane's share of the host streams. While a lane runs, only its
+  /// thread touches its partition; between windows only the calling
+  /// thread does.
   struct Partition {
     std::vector<telescope::HostStream> streams;
     std::vector<std::uint32_t> hosts;  // Local slot -> global host index.
     std::vector<std::uint32_t> live;   // Local slots, compacted.
-    std::unique_ptr<BoundedBuffer<ProducerBatch>> queue;  // K > 1 only.
     std::size_t pruned = 0;
     std::uint64_t dead_scans_avoided = 0;
-    std::uint64_t batch_seq = 0;  // Ordinal keying batch trace sampling.
+    // emit_lane scratch, reused across windows.
+    std::vector<telescope::MergeSlot> slots;
+    net::PacketBatch batch;
+    std::vector<std::uint32_t> row_hosts;
   };
 
-  struct Cursor {
-    ProducerBatch batch;
-    std::size_t pos = 0;
-    bool done = false;
-  };
+  /// Window entry for one partition: prunes its exhausted streams and
+  /// appends its open streams to `slots`.
+  void enter(Partition& part, TimeMicros t0, TimeMicros t1,
+             std::vector<telescope::MergeSlot>& slots);
 
-  static bool heads_before(const Cursor& a, const Cursor& b) {
-    const SynthPacket& x = a.batch.items[a.pos];
-    const SynthPacket& y = b.batch.items[b.pos];
-    if (x.pkt.ts != y.pkt.ts) return x.pkt.ts < y.pkt.ts;
-    return x.host < y.host;
-  }
-
-  /// The K > 1 path of emit_batches: the K-way merge over the producer
-  /// queues, re-batched into `batch_` on the calling thread.
-  std::size_t emit_threaded(
-      TimeMicros t0, TimeMicros t1, std::size_t batch_size,
-      const std::function<void(const net::PacketBatch&)>& fn);
-  /// Reopens the queues and launches one worker per partition for the
-  /// window [t0, t1).
-  void start_window(TimeMicros t0, TimeMicros t1);
-  /// Worker body: local heap-merge over the partition, batched emission.
-  void produce(std::size_t p, Partition& part, TimeMicros t0,
-               TimeMicros t1);
-  /// Blocking refill of a drained cursor; false once the queue is closed
-  /// and fully drained (marks the cursor done).
-  bool refill(std::size_t p, Cursor& cursor);
-  void close_queues();
-  void join_workers();
-
-  ProducerConfig config_;
-  obs::Tracer* tracer_;
-  obs::Watchdog* watchdog_;
-  net::PacketBatch batch_;  // emit_batches scratch, reused across windows.
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::thread> workers_;
+  // emit_batches scratch, reused across windows.
+  std::vector<telescope::MergeSlot> slots_;
+  net::PacketBatch batch_;
   obs::Counter* packets_c_;
-  obs::Counter* batches_c_;
   obs::Counter* pruned_c_;
   obs::Counter* dead_scans_c_;
-  obs::Gauge* producers_g_;
-  obs::Histogram* batch_h_;
 };
 
 }  // namespace exiot::pipeline

@@ -1,14 +1,25 @@
 #include "telescope/site.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace exiot::telescope {
 
 std::vector<Cidr> partition_aperture(Cidr telescope, int n) {
-  assert(is_power_of_two(n));
+  // Checked in every build: a site count that is not a power of two would
+  // leave part of the aperture dark, and 0 would leave no site at all.
+  if (!is_power_of_two(n)) {
+    throw std::invalid_argument("partition_aperture: site count " +
+                                std::to_string(n) +
+                                " is not a positive power of two");
+  }
   int bits = 0;
   while ((1 << bits) < n) ++bits;
-  assert(telescope.prefix_len() + bits <= 32);
+  if (telescope.prefix_len() + bits > 32) {
+    throw std::invalid_argument(
+        "partition_aperture: " + std::to_string(n) + " sites do not fit in " +
+        telescope.to_string());
+  }
   const int sub_len = telescope.prefix_len() + bits;
   const std::uint64_t sub_size = telescope.size() >> bits;
   std::vector<Cidr> sites;

@@ -36,9 +36,10 @@ struct SiteInfo {
   TimeMicros clock_skew;  // Site clock minus canonical clock.
 };
 
-/// Splits `telescope` into `n` equal consecutive sub-prefixes (n must be a
-/// power of two, and prefix_len + log2(n) must stay <= 32). Site i covers
-/// [network + i * size/n, network + (i+1) * size/n).
+/// Splits `telescope` into `n` equal consecutive sub-prefixes. Site i
+/// covers [network + i * size/n, network + (i+1) * size/n). Throws
+/// std::invalid_argument unless n is a power of two with
+/// prefix_len + log2(n) <= 32.
 std::vector<Cidr> partition_aperture(Cidr telescope, int n);
 
 /// True iff n is a power of two (the only site counts partition_aperture

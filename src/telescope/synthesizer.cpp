@@ -117,6 +117,29 @@ bool HostStream::next_into(net::Packet& out) {
   return true;
 }
 
+void enter_window(std::vector<HostStream>& streams,
+                  const std::uint32_t* hosts,
+                  std::vector<std::uint32_t>& live, TimeMicros t0,
+                  TimeMicros t1, std::size_t& pruned,
+                  std::vector<MergeSlot>& slots) {
+  net::Packet scratch;
+  std::size_t kept = 0;
+  for (const std::uint32_t local : live) {
+    HostStream& stream = streams[local];
+    while (stream.peek_ts() < t0) (void)stream.next_into(scratch);
+    if (stream.done()) {
+      ++pruned;
+      continue;
+    }
+    live[kept++] = local;
+    if (stream.peek_ts() < t1) {
+      slots.push_back(
+          MergeSlot{&stream, hosts != nullptr ? hosts[local] : local});
+    }
+  }
+  live.resize(kept);
+}
+
 TrafficSynthesizer::TrafficSynthesizer(const inet::Population& pop,
                                        Cidr aperture) {
   streams_.reserve(pop.hosts().size());

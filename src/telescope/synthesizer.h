@@ -4,20 +4,20 @@
 // CAIDA capture: downstream modules consume exactly what they would consume
 // from the real telescope (decoded packets in arrival order).
 //
-// The merge core (`emit_window`) is shared with the multi-threaded
-// producer stage (pipeline/producer.h): it emits the packets of one time
-// window from an arbitrary subset of streams in (ts, host_index) order,
-// keeps a compacted live-stream list so exhausted hosts are never
-// rescanned, and fills a reused packet slot instead of materializing an
-// optional<Packet> per packet — the per-packet overheads this stage must
-// not pay at ~1M pps.
+// The batched merge core (`enter_window` + `merge_window`) is shared with
+// the source-partitioned producer (pipeline/producer.h): it emits the
+// packets of one time window from an arbitrary subset of streams in
+// (ts, host_index) order, keeps a compacted live-stream list so exhausted
+// hosts are never rescanned, and synthesizes each packet straight into a
+// reused batch row — the per-packet overheads this stage must not pay at
+// ~1M pps.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <queue>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -70,20 +70,33 @@ class HostStream {
   std::uint16_t misconfig_port_ = 0;
 };
 
-/// Shared window-merge core of the serial synthesizer and the partitioned
-/// producer threads. Emits every packet with ts in [t0, t1) from the
+/// One stream taking part in a window merge, with its global host index
+/// (the (ts, host) tie-break).
+struct MergeSlot {
+  HostStream* stream;
+  std::uint32_t host;
+};
+
+/// Window entry: advances every stream in `live` to t0, drops exhausted
+/// streams from `live` (compacting in place; their count accumulates into
+/// `pruned`, so later windows stop rescanning hosts that finished days
+/// ago) and appends a slot to `slots` for each stream with a packet in
+/// [t0, t1). `hosts[local]` maps a stream slot to its global host index
+/// (nullptr: the slot index is the host index). Slots from several stream
+/// sets may be gathered into one merge, as long as their host indices are
+/// distinct.
+void enter_window(std::vector<HostStream>& streams,
+                  const std::uint32_t* hosts,
+                  std::vector<std::uint32_t>& live, TimeMicros t0,
+                  TimeMicros t1, std::size_t& pruned,
+                  std::vector<MergeSlot>& slots);
+
+/// Scalar window merge: emits every packet with ts in [t0, t1) from the
 /// streams listed in `live` in (ts, host_index) order — the canonical
-/// arrival order every producer-thread/detector-shard combination must
-/// reproduce. `hosts[local]` maps a stream slot to its global host index
-/// (nullptr: the slot index is the host index, the unpartitioned case).
-///
-/// Streams found exhausted at window entry are dropped from `live` (their
-/// count accumulates into `pruned`), so later windows stop rescanning
-/// hosts that finished days ago. `fn(pkt, host_index)` may return void, or
-/// bool where false aborts the window early (a producer worker whose queue
-/// was closed under it; stream window state is abandoned mid-merge, so the
-/// caller must not reuse the streams afterwards). Returns the number of
-/// packets emitted.
+/// arrival order every lane count must reproduce — as `fn(pkt,
+/// host_index)`, with a binary heap. Window entry as enter_window().
+/// Returns the number of packets emitted. The reference merge the batched
+/// path (merge_window) is tested against.
 template <typename Fn>
 std::size_t emit_window(std::vector<HostStream>& streams,
                         const std::uint32_t* hosts,
@@ -91,39 +104,26 @@ std::size_t emit_window(std::vector<HostStream>& streams,
                         TimeMicros t1, std::size_t& pruned, Fn&& fn) {
   struct Entry {
     TimeMicros ts;
-    std::uint32_t host;   // Global host index: the merge tie-break.
-    std::uint32_t local;  // Index into `streams`.
+    MergeSlot slot;
     bool operator>(const Entry& other) const {
       if (ts != other.ts) return ts > other.ts;
-      return host > other.host;
+      return slot.host > other.slot.host;
     }
   };
+  std::vector<MergeSlot> slots;
+  enter_window(streams, hosts, live, t0, t1, pruned, slots);
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  net::Packet scratch;
-
-  // Window entry: skip packets before the window, prune exhausted streams
-  // out of the live list (compacting in place, order preserved).
-  std::size_t kept = 0;
-  for (const std::uint32_t local : live) {
-    HostStream& stream = streams[local];
-    while (stream.peek_ts() < t0) (void)stream.next_into(scratch);
-    if (stream.done()) {
-      ++pruned;
-      continue;
-    }
-    live[kept++] = local;
-    if (stream.peek_ts() < t1) {
-      heap.push(Entry{stream.peek_ts(),
-                      hosts != nullptr ? hosts[local] : local, local});
-    }
+  for (const MergeSlot& slot : slots) {
+    heap.push(Entry{slot.stream->peek_ts(), slot});
   }
-  live.resize(kept);
 
+  net::Packet scratch;
   std::size_t count = 0;
   while (!heap.empty()) {
     const Entry top = heap.top();
     heap.pop();
-    HostStream& stream = streams[top.local];
+    HostStream& stream = *top.slot.stream;
+    const std::uint32_t host = top.slot.host;
     // Inner loop: keep emitting from this stream while its next packet
     // still precedes the heap head — bursty sessions re-emit directly
     // instead of paying a heap pop+push per packet. The (ts, host) order
@@ -131,87 +131,60 @@ std::size_t emit_window(std::vector<HostStream>& streams,
     while (true) {
       if (!stream.next_into(scratch)) break;
       if (scratch.ts >= t1) break;
-      using Result = std::invoke_result_t<Fn&, const net::Packet&,
-                                          std::uint32_t>;
-      if constexpr (std::is_void_v<Result>) {
-        fn(static_cast<const net::Packet&>(scratch), top.host);
-      } else {
-        if (!fn(static_cast<const net::Packet&>(scratch), top.host)) {
-          return count;
-        }
-      }
+      fn(static_cast<const net::Packet&>(scratch), host);
       ++count;
       const TimeMicros peek = stream.peek_ts();
       if (peek >= t1) break;
       if (heap.empty()) continue;
       const Entry& head = heap.top();
-      if (peek < head.ts || (peek == head.ts && top.host < head.host)) {
+      if (peek < head.ts || (peek == head.ts && host < head.slot.host)) {
         continue;
       }
-      heap.push(Entry{peek, top.host, top.local});
+      heap.push(Entry{peek, top.slot});
       break;
     }
   }
   return count;
 }
 
-/// Batched emit_window: identical emission order and stream state
-/// transitions, but each packet is synthesized directly into a reused
-/// PacketBatch row and `fn(const net::PacketBatch&)` (void return) is
-/// invoked once per `batch_size` packets — and once at window end for the
-/// remainder. The callback borrows the batch only for the call. There is
-/// no early-stop protocol.
+/// Batched window merge over the slots enter_window() gathered: the same
+/// emission order and stream state transitions as emit_window, but each
+/// packet is synthesized directly into a reused PacketBatch row and
+/// `fn(const net::PacketBatch&)` (void return) is invoked once per
+/// `batch_size` packets — and once at window end for the remainder. The
+/// callback borrows the batch only for the call. When `row_hosts` is
+/// non-null it is kept aligned with the batch: `(*row_hosts)[i]` is the
+/// host index of row i.
 ///
 /// Unlike the scalar merge's binary heap, the batched path selects with a
 /// tournament (loser) tree — telescope/merge.h: one leaf-to-root replay
 /// per packet (a single comparison per level) instead of a heap pop+push
 /// sifting 16-byte entries. Both structures yield the strict (ts, host)
 /// minimum each step, so the emitted sequence is byte-identical to
-/// emit_window's. Each packet is synthesized directly into its reused
-/// batch row — no intermediate buffering, no extra copy.
+/// emit_window's.
 template <typename BatchFn>
-std::size_t emit_window_batch(std::vector<HostStream>& streams,
-                              const std::uint32_t* hosts,
-                              std::vector<std::uint32_t>& live,
-                              TimeMicros t0, TimeMicros t1,
-                              std::size_t& pruned, std::size_t batch_size,
-                              net::PacketBatch& batch, BatchFn&& fn) {
-  net::Packet scratch;
-
-  // Window entry: skip packets before the window, prune exhausted streams
-  // (identical to the scalar merge).
-  std::size_t kept = 0;
-  for (const std::uint32_t local : live) {
-    HostStream& stream = streams[local];
-    while (stream.peek_ts() < t0) (void)stream.next_into(scratch);
-    if (stream.done()) {
-      ++pruned;
-      continue;
-    }
-    live[kept++] = local;
-  }
-  live.resize(kept);
-
-  // Seed one tournament slot per stream with a packet in this window.
-  std::vector<std::uint32_t> slot_local;
-  slot_local.reserve(kept);
-  for (const std::uint32_t local : live) {
-    if (streams[local].peek_ts() < t1) slot_local.push_back(local);
-  }
+std::size_t merge_window(const std::vector<MergeSlot>& slots, TimeMicros t1,
+                         std::size_t batch_size, net::PacketBatch& batch,
+                         std::vector<std::uint32_t>* row_hosts,
+                         BatchFn&& fn) {
   WinnerTree tree;
-  tree.assign(slot_local.size());
-  for (std::size_t s = 0; s < slot_local.size(); ++s) {
-    const std::uint32_t local = slot_local[s];
-    tree.set_slot(s, streams[local].peek_ts(),
-                  hosts != nullptr ? hosts[local] : local);
+  tree.assign(slots.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    tree.set_slot(s, slots[s].stream->peek_ts(), slots[s].host);
   }
   tree.rebuild();
 
+  auto flush = [&] {
+    fn(static_cast<const net::PacketBatch&>(batch));
+    batch.clear();
+    if (row_hosts != nullptr) row_hosts->clear();
+  };
   batch.clear();
+  if (row_hosts != nullptr) row_hosts->clear();
   std::size_t count = 0;
   while (!tree.exhausted()) {
     const std::uint32_t slot = tree.top();
-    HostStream& stream = streams[slot_local[slot]];
+    HostStream& stream = *slots[slot].stream;
     net::Packet& row = batch.append_slot();
     // An open slot's peek_ts is < t1, so the stream has a packet and its
     // timestamp is inside the window (next_into fills at peek_ts).
@@ -221,35 +194,30 @@ std::size_t emit_window_batch(std::vector<HostStream>& streams,
       continue;
     }
     batch.commit_back();
+    if (row_hosts != nullptr) row_hosts->push_back(slots[slot].host);
     ++count;
-    if (batch.size() >= batch_size) {
-      fn(static_cast<const net::PacketBatch&>(batch));
-      batch.clear();
-    }
+    if (batch.size() >= batch_size) flush();
     const TimeMicros peek = stream.peek_ts();
     tree.update(slot, peek < t1 ? peek : WinnerTree::kDone);
     if (!tree.exhausted()) {
       // The next winner is already decided; start pulling its stream's
       // hot lines while this iteration retires (stream state is visited
       // in timestamp order — effectively at random).
-      const char* next = reinterpret_cast<const char*>(
-          &streams[slot_local[tree.top()]]);
+      const char* next =
+          reinterpret_cast<const char*>(slots[tree.top()].stream);
       __builtin_prefetch(next);
       __builtin_prefetch(next + 64);
       __builtin_prefetch(next + 128);
       __builtin_prefetch(next + 192);
     }
   }
-  if (!batch.empty()) {
-    fn(static_cast<const net::PacketBatch&>(batch));
-    batch.clear();
-  }
+  if (!batch.empty()) flush();
   return count;
 }
 
 /// Merges all host streams into arrival order (single-threaded). The
-/// multi-threaded equivalent is pipeline::ParallelProducer, which emits
-/// the byte-identical stream from K partitions.
+/// source-partitioned equivalent is pipeline::ParallelProducer, which
+/// emits the byte-identical stream from K partitions.
 class TrafficSynthesizer {
  public:
   TrafficSynthesizer(const inet::Population& pop, Cidr aperture);
@@ -275,10 +243,11 @@ class TrafficSynthesizer {
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,
                            std::size_t batch_size, BatchFn&& fn) {
     dead_scans_avoided_ += streams_.size() - live_.size();
+    slots_.clear();
+    enter_window(streams_, nullptr, live_, t0, t1, pruned_, slots_);
     batch_.reserve(batch_size);
-    return emit_window_batch(streams_, nullptr, live_, t0, t1, pruned_,
-                             batch_size, batch_,
-                             std::forward<BatchFn>(fn));
+    return merge_window(slots_, t1, batch_size, batch_, nullptr,
+                        std::forward<BatchFn>(fn));
   }
 
   /// Streams still able to produce packets (before the next window scan).
@@ -293,7 +262,9 @@ class TrafficSynthesizer {
  private:
   std::vector<HostStream> streams_;
   std::vector<std::uint32_t> live_;
-  net::PacketBatch batch_;  // emit_batches scratch, reused across windows.
+  // emit_batches scratch, reused across windows.
+  std::vector<MergeSlot> slots_;
+  net::PacketBatch batch_;
   std::size_t pruned_ = 0;
   std::uint64_t dead_scans_avoided_ = 0;
 };

@@ -2,7 +2,7 @@
 // buffer's ordered-commit guarantee (unit level, with crafted completion
 // delays), shutdown with records in flight, and the pipeline-level
 // determinism matrix — feed export, email outbox, and API responses must
-// be byte-identical for any annotate-workers x producers x shards
+// be byte-identical for any annotate-workers x capture-lanes x batch-size
 // combination.
 #include <gtest/gtest.h>
 
@@ -189,7 +189,7 @@ struct RunOutput {
 
 /// Full pipeline run over the small deterministic population; returns
 /// every externally visible artifact for byte comparison.
-RunOutput run_pipeline(int annotate_workers, int producers, int shards,
+RunOutput run_pipeline(int annotate_workers, int lanes,
                        int batch_size = 512) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
@@ -202,10 +202,7 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_detector_shards = shards;
-  pipe_config.num_producer_threads = producers;
-  pipe_config.buffer_capacity = 8;
-  pipe_config.ingest_batch_size = 64;
+  pipe_config.num_producer_threads = lanes;
   pipe_config.num_annotate_workers = annotate_workers;
   pipe_config.decode_batch_size = static_cast<std::size_t>(batch_size);
   pipe_config.annotate_queue_capacity = 8;  // Small: back-pressure on submit.
@@ -238,21 +235,20 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
 }
 
 TEST(AnnotateDeterminismTest, OutputInvariantAcrossWorkerMatrix) {
-  const RunOutput baseline = run_pipeline(1, 1, 1);
+  const RunOutput baseline = run_pipeline(1, 1);
   EXPECT_GT(baseline.stats.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
-  // Workers x producers x shards x decode batch size: every externally
+  // Workers x lanes x decode batch size: every externally
   // visible artifact — feed export, outbox, and API bodies — must be
   // byte-identical to the fully serial run. The batch dimension pins the
   // SoA hot path: batching is an execution detail, never a semantic one.
-  for (const auto& [workers, producers, shards, batch] :
-       {std::tuple{1, 2, 2, 512}, std::tuple{2, 2, 2, 512},
-        std::tuple{4, 2, 2, 64}, std::tuple{8, 2, 2, 1024},
-        std::tuple{1, 1, 1, 1}, std::tuple{2, 2, 2, 1}}) {
-    const RunOutput run = run_pipeline(workers, producers, shards, batch);
+  for (const auto& [workers, lanes, batch] :
+       {std::tuple{1, 2, 512}, std::tuple{2, 4, 512}, std::tuple{4, 8, 64},
+        std::tuple{8, 2, 1024}, std::tuple{1, 1, 1}, std::tuple{2, 4, 1}}) {
+    const RunOutput run = run_pipeline(workers, lanes, batch);
     EXPECT_EQ(baseline.feed, run.feed)
-        << "workers=" << workers << " producers=" << producers
-        << " shards=" << shards << " batch=" << batch;
+        << "workers=" << workers << " lanes=" << lanes
+        << " batch=" << batch;
     EXPECT_EQ(baseline.outbox, run.outbox) << "workers=" << workers;
     EXPECT_EQ(baseline.records_api, run.records_api)
         << "workers=" << workers;

@@ -1,16 +1,18 @@
 // Tests for the telescope federation layer: aperture partitioning, the
 // per-sensor sighting ledger, the federation stage's in-order
 // attribute/drop/forward semantics — and the determinism
-// matrix the tentpole promises: the merged feed (export, outbox, API
-// bodies) is byte-identical across site counts {1, 2, 4} x skew profiles
-// x outage profiles x producers x shards x annotate-workers, with
-// per-sensor first-seen attribution asserted on the multi-site runs.
+// matrix: the merged feed (export, outbox, API bodies) is byte-identical
+// across site counts {1, 2, 4} x skew profiles x outage profiles x capture
+// lanes {1, 2, 4, 8} x annotate-workers, with per-sensor first-seen
+// attribution asserted on the multi-site runs. Invalid site counts are
+// rejected in every build type.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +45,48 @@ TEST(PartitionTest, SplitsIntoEqualPowerOfTwoSubPrefixes) {
   const auto whole = telescope::partition_aperture(telescope, 1);
   ASSERT_EQ(whole.size(), 1u);
   EXPECT_EQ(whole[0], telescope);
+}
+
+TEST(PartitionTest, RejectsInvalidSiteCountsInEveryBuild) {
+  // Checked with exceptions, not assert: the tier-1 and bench builds
+  // compile asserts out.
+  const Cidr telescope(Ipv4(44, 0, 0, 0), 8);
+  // 0 sites would leave deliver_event without a tunnel.
+  EXPECT_THROW(telescope::partition_aperture(telescope, 0),
+               std::invalid_argument);
+  // 3 sites would silently leave the top quarter dark.
+  EXPECT_THROW(telescope::partition_aperture(telescope, 3),
+               std::invalid_argument);
+  EXPECT_THROW(telescope::partition_aperture(telescope, -4),
+               std::invalid_argument);
+  // A /30 has room for 4 sites, not 8 (prefix length + bits > 32).
+  const Cidr tiny(Ipv4(44, 0, 0, 0), 30);
+  EXPECT_EQ(telescope::partition_aperture(tiny, 4).size(), 4u);
+  EXPECT_THROW(telescope::partition_aperture(tiny, 8),
+               std::invalid_argument);
+
+  for (const int sites : {0, 3}) {
+    EXPECT_THROW(FederationStage(FederationConfig{telescope, sites, 0, {}}),
+                 std::invalid_argument)
+        << sites << " sites";
+  }
+  EXPECT_THROW(FederationStage(FederationConfig{tiny, 8, 0, {}}),
+               std::invalid_argument);
+
+  // The pipeline refuses the config instead of running half-dark.
+  inet::PopulationConfig config;
+  config.iot_per_day = 2;
+  config.generic_per_day = 2;
+  config.misconfig_per_day = 1;
+  config.victims_per_day = 1;
+  config.benign_per_day = 1;
+  config.days = 1;
+  auto world = inet::WorldModel::standard(telescope);
+  auto population = inet::Population::generate(config, world);
+  PipelineConfig pipe_config;
+  pipe_config.num_sites = 3;
+  EXPECT_THROW(ExIotPipeline(population, world, pipe_config),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- SightingTable ----
@@ -340,8 +384,7 @@ struct SiteProfile {
 /// every externally visible artifact for byte comparison (the same
 /// harness as the annotate determinism matrix, plus federation knobs).
 RunOutput run_pipeline(
-    const SiteProfile& profile, int annotate_workers, int producers,
-    int shards,
+    const SiteProfile& profile, int annotate_workers, int lanes,
     const std::function<void(ExIotPipeline&)>& inspect = nullptr) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
@@ -354,10 +397,7 @@ RunOutput run_pipeline(
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_detector_shards = shards;
-  pipe_config.num_producer_threads = producers;
-  pipe_config.buffer_capacity = 8;
-  pipe_config.ingest_batch_size = 64;
+  pipe_config.num_producer_threads = lanes;
   pipe_config.num_annotate_workers = annotate_workers;
   pipe_config.annotate_queue_capacity = 8;
   pipe_config.num_sites = profile.sites;
@@ -404,24 +444,25 @@ RunOutput run_pipeline(
 }
 
 TEST(FederationDeterminismTest, FeedInvariantAcrossSiteMatrix) {
-  const RunOutput baseline = run_pipeline(SiteProfile{}, 1, 1, 1);
+  const RunOutput baseline = run_pipeline(SiteProfile{}, 1, 1);
   EXPECT_GT(baseline.stats.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
-  // Site count x skew profile x producers x shards x annotate-workers:
-  // demuxing the canonical stream across N sensors and re-merging the
-  // union must reconstruct it exactly, and skew never reaches the feed.
-  for (const auto& [sites, skews, workers, producers, shards] :
-       {std::tuple{2, std::vector<double>{}, 1, 1, 1},
-        std::tuple{2, std::vector<double>{3.0, -2.0}, 2, 2, 2},
-        std::tuple{4, std::vector<double>{}, 1, 2, 2},
-        std::tuple{4, std::vector<double>{1.0, 0.0, -5.0, 60.0}, 4, 2, 2}}) {
+  // Site count x skew profile x lanes x annotate-workers: filtering the
+  // canonical stream per sensor inside each lane and merging the lanes'
+  // events must reconstruct it exactly, and skew never reaches the feed.
+  for (const auto& [sites, skews, workers, lanes] :
+       {std::tuple{1, std::vector<double>{}, 2, 8},
+        std::tuple{2, std::vector<double>{}, 1, 1},
+        std::tuple{2, std::vector<double>{3.0, -2.0}, 2, 2},
+        std::tuple{4, std::vector<double>{}, 1, 4},
+        std::tuple{4, std::vector<double>{1.0, 0.0, -5.0, 60.0}, 4, 8}}) {
     SiteProfile profile;
     profile.sites = sites;
     profile.skew_seconds = skews;
-    const RunOutput run = run_pipeline(profile, workers, producers, shards);
+    const RunOutput run = run_pipeline(profile, workers, lanes);
     EXPECT_EQ(baseline.feed, run.feed)
         << "sites=" << sites << " workers=" << workers
-        << " producers=" << producers << " shards=" << shards;
+        << " lanes=" << lanes;
     EXPECT_EQ(baseline.outbox, run.outbox) << "sites=" << sites;
     EXPECT_EQ(baseline.records_api, run.records_api) << "sites=" << sites;
     EXPECT_EQ(baseline.snapshot_api, run.snapshot_api) << "sites=" << sites;
@@ -436,18 +477,18 @@ TEST(FederationDeterminismTest, GlobalOutageProfileInvariantAcrossSites) {
   // across site counts: every sighted site delivers at the same instant.
   SiteProfile outage1;
   outage1.global_outage = {3600.0 * 4, 3600.0 * 7};
-  const RunOutput baseline = run_pipeline(outage1, 1, 1, 1);
+  const RunOutput baseline = run_pipeline(outage1, 1, 1);
   EXPECT_GT(baseline.stats.records_published, 0u);
   for (int sites : {2, 4}) {
     SiteProfile profile = outage1;
     profile.sites = sites;
-    const RunOutput run = run_pipeline(profile, 2, 2, 2);
+    const RunOutput run = run_pipeline(profile, 2, 4);
     EXPECT_EQ(baseline.feed, run.feed) << "sites=" << sites;
     EXPECT_EQ(baseline.records_api, run.records_api) << "sites=" << sites;
     EXPECT_EQ(baseline.snapshot_api, run.snapshot_api) << "sites=" << sites;
   }
   // And the outage did change the feed relative to the clean baseline.
-  const RunOutput clean = run_pipeline(SiteProfile{}, 1, 1, 1);
+  const RunOutput clean = run_pipeline(SiteProfile{}, 1, 1);
   EXPECT_NE(clean.feed, baseline.feed);
 }
 
@@ -456,12 +497,11 @@ TEST(FederationAttributionTest, RecordsCarryPerSensorFirstSeen) {
   profile.sites = 4;
   profile.skew_seconds = {0.0, 2.0, 0.0, -3.0};
   const RunOutput run =
-      run_pipeline(profile, 1, 1, 1, [&](ExIotPipeline& pipe) {
+      run_pipeline(profile, 1, 4, [&](ExIotPipeline& pipe) {
         // Random /8-wide scanners land in several sites' apertures: the
         // ledger must dedup them into one source carrying a multi-sensor
         // sighting list, with local first-seen = canonical + site skew.
-        EXPECT_GT(pipe.federation().sighting_table().multi_sensor_sources(),
-                  0u);
+        EXPECT_GT(pipe.federation().multi_sensor_sources(), 0u);
         std::size_t multi_sensor_records = 0;
         for (const auto& record :
              pipe.feed().published_between(0, hours(24 * 365))) {
@@ -490,10 +530,10 @@ TEST(FederationAttributionTest, RecordsCarryPerSensorFirstSeen) {
 TEST(FederationApertureTest, FewerActiveSitesShrinkDetection) {
   SiteProfile full;
   full.sites = 8;
-  const RunOutput all = run_pipeline(full, 1, 1, 1);
+  const RunOutput all = run_pipeline(full, 1, 1);
   SiteProfile quarter = full;
   quarter.active = 2;  // A quarter of the aperture.
-  const RunOutput partial = run_pipeline(quarter, 1, 1, 1);
+  const RunOutput partial = run_pipeline(quarter, 1, 2);
   // A smaller aperture sees strictly less traffic and no more scanners.
   EXPECT_LT(partial.stats.packets_processed, all.stats.packets_processed);
   EXPECT_LE(partial.stats.scanners_detected, all.stats.scanners_detected);

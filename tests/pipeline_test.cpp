@@ -1,6 +1,5 @@
-// Tests for the pipeline module: the blocking buffer between the capture
-// and detect stages, the threaded ingest stage and its determinism
-// guarantee, the reconnecting tunnel, the packet organizer, the scan
+// Tests for the pipeline module: the blocking buffer, the serial ingest
+// path and the lane-count determinism guarantee, the reconnecting tunnel, the packet organizer, the scan
 // module, and the update classifier's sliding-window retraining.
 #include <gtest/gtest.h>
 
@@ -155,8 +154,9 @@ TEST(BufferTest, ProducerConsumerStress) {
 
 // ------------------------------------------------------- ThreadedIngest ----
 
-/// Replays crafted packets through ThreadedIngest at a given shard count
-/// and returns a textual log of every event the sink saw, in order.
+/// Replays crafted packets through ThreadedIngest's serial path at a given
+/// lane count and returns a textual log of every event the sink saw, in
+/// order.
 std::string ingest_event_log(int shards) {
   // Six sources, 150 SYNs each at 1 s spacing, interleaved in time order:
   // all cross the scanner thresholds; none completes its 200-packet sample
@@ -191,12 +191,10 @@ std::string ingest_event_log(int shards) {
 
   IngestConfig config;
   config.num_shards = shards;
-  config.buffer_capacity = 4;  // Small: exercises back-pressure.
-  config.batch_size = 32;
   ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
                         {23, 80});
-  // The replayed source hands over 100-row batches; the ingest re-batches
-  // per shard at its own (smaller) batch size.
+  // The replayed source hands over 100-row batches; the serial path routes
+  // each batch's rows to their source's lane detector.
   ingest.run_hour_batched(
       [&packets](const ThreadedIngest::BatchFn& fn) {
         net::PacketBatch batch;
@@ -223,16 +221,16 @@ TEST(ThreadedIngestTest, ShardCountInvariantEventSequence) {
   EXPECT_NE(single.find("SCANNER 10.0.0.1 100"), std::string::npos);
   EXPECT_NE(single.find("END 203.0.113.77 150"), std::string::npos);
   EXPECT_NE(single.find("SAMPLE 10.0.1.1 50"), std::string::npos);
-  // The merged multi-shard event stream is byte-identical.
+  // The merged multi-lane event stream is byte-identical.
   EXPECT_EQ(single, ingest_event_log(3));
   EXPECT_EQ(single, ingest_event_log(5));
 }
 
 // -------------------------------------------------- Pipeline determinism ----
 
-/// Runs the full pipeline over a small population at the given shard
-/// count and returns the exported feed plus headline counters.
-std::string feed_jsonl_at_shards(int shards, PipelineStats* stats_out) {
+/// Runs the full pipeline over a small population at the given lane count
+/// and returns the exported feed plus headline counters.
+std::string feed_jsonl_at_lanes(int lanes, PipelineStats* stats_out) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
   config.generic_per_day = 20;
@@ -244,9 +242,7 @@ std::string feed_jsonl_at_shards(int shards, PipelineStats* stats_out) {
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_detector_shards = shards;
-  pipe_config.buffer_capacity = 8;
-  pipe_config.ingest_batch_size = 64;
+  pipe_config.num_detector_shards = lanes;
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
   pipe.finish();
@@ -257,15 +253,21 @@ std::string feed_jsonl_at_shards(int shards, PipelineStats* stats_out) {
 }
 
 TEST(PipelineDeterminismTest, FeedOutputInvariantAcrossShardCounts) {
-  PipelineStats single_stats, sharded_stats;
-  const std::string single = feed_jsonl_at_shards(1, &single_stats);
-  const std::string sharded = feed_jsonl_at_shards(4, &sharded_stats);
+  PipelineStats single_stats;
+  const std::string single = feed_jsonl_at_lanes(1, &single_stats);
   EXPECT_GT(single_stats.records_published, 0u);
-  EXPECT_EQ(single, sharded);  // Byte-identical feed export.
-  EXPECT_EQ(single_stats.packets_processed, sharded_stats.packets_processed);
-  EXPECT_EQ(single_stats.scanners_detected, sharded_stats.scanners_detected);
-  EXPECT_EQ(single_stats.records_published, sharded_stats.records_published);
-  EXPECT_EQ(single_stats.report_messages, sharded_stats.report_messages);
+  for (const int lanes : {2, 4, 8}) {
+    PipelineStats sharded_stats;
+    const std::string sharded = feed_jsonl_at_lanes(lanes, &sharded_stats);
+    EXPECT_EQ(single, sharded) << lanes << " lanes";  // Byte-identical.
+    EXPECT_EQ(single_stats.packets_processed,
+              sharded_stats.packets_processed);
+    EXPECT_EQ(single_stats.scanners_detected,
+              sharded_stats.scanners_detected);
+    EXPECT_EQ(single_stats.records_published,
+              sharded_stats.records_published);
+    EXPECT_EQ(single_stats.report_messages, sharded_stats.report_messages);
+  }
 }
 
 // ------------------------------------------------- Pending re-detection ----

@@ -1,11 +1,11 @@
-// Tests for the parallel traffic producer (pipeline/producer.h): the
-// packet-stream determinism guarantee at every producer count, the full
-// producers x shards pipeline matrix, the shutdown path when the sink
-// throws while producers are blocked, and the batching/metrics accounting.
+// Tests for the source-partitioned traffic producer (pipeline/producer.h):
+// the packet-stream determinism guarantee at every partition count, the
+// ingest event log and full pipeline feed across the lane matrix, and the
+// packet/pruning accounting. The lane runner itself is covered by
+// lanes_test.cpp.
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "feed/export.h"
@@ -51,8 +51,6 @@ std::vector<net::Packet> producer_stream(const inet::Population& pop,
                                          TimeMicros t0, TimeMicros t1) {
   ProducerConfig config;
   config.num_producers = producers;
-  config.batch_size = 256;  // Small: exercises many batch boundaries.
-  config.queue_capacity = 2;
   ParallelProducer producer(pop, aperture, config);
   std::vector<net::Packet> out;
   const std::size_t count = emit_rows(producer, t0, t1, out);
@@ -107,9 +105,11 @@ TEST(ParallelProducerTest, WindowedEmitMatchesWholeRun) {
 
 // ------------------------------------------ Ingest event-log invariance ----
 
-/// Runs a ParallelProducer into a ThreadedIngest and returns the textual
-/// event log the detector sink saw.
-std::string ingest_log_at(int producers, int shards) {
+/// Runs one hour through a ThreadedIngest at `lanes` and returns the
+/// textual event log the detector sink saw. `lane_path` drives the lanes
+/// (one thread each, fed by emit_lane); otherwise the serial path feeds
+/// the merged emit_batches stream through run_hour_batched.
+std::string ingest_log_at(int lanes, bool lane_path) {
   const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
   auto pop = small_population(aperture);
 
@@ -127,36 +127,44 @@ std::string ingest_log_at(int producers, int shards) {
   };
 
   ProducerConfig producer_config;
-  producer_config.num_producers = producers;
+  producer_config.num_producers = lanes;
   ParallelProducer producer(pop, aperture, producer_config);
 
   IngestConfig config;
-  config.num_shards = shards;
-  config.buffer_capacity = 4;  // Small: exercises back-pressure.
-  config.batch_size = 32;
+  config.num_shards = producer.num_producers();
   ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
                         {23, 80, 8080});
-  ingest.run_hour_batched(
-      [&producer](const ThreadedIngest::BatchFn& fn) {
-        return producer.emit_batches(0, kMicrosPerHour, 100, fn);
-      },
-      kMicrosPerHour);
+  if (lane_path) {
+    ingest.run_hour_lanes(
+        [&producer](std::size_t lane, const LaneBatchFn& fn) {
+          return producer.emit_lane(lane, 0, kMicrosPerHour, 100, fn);
+        },
+        kMicrosPerHour);
+  } else {
+    ingest.run_hour_batched(
+        [&producer](const ThreadedIngest::BatchFn& fn) {
+          return producer.emit_batches(0, kMicrosPerHour, 100, fn);
+        },
+        kMicrosPerHour);
+  }
   ingest.finish();
   return log.str();
 }
 
 TEST(ParallelProducerTest, IngestEventLogInvariantAcrossMatrix) {
-  const std::string reference = ingest_log_at(1, 1);
+  const std::string reference = ingest_log_at(1, false);
   EXPECT_NE(reference.find("SCANNER"), std::string::npos);
-  EXPECT_EQ(reference, ingest_log_at(2, 1));
-  EXPECT_EQ(reference, ingest_log_at(1, 4));
-  EXPECT_EQ(reference, ingest_log_at(4, 4));
+  EXPECT_EQ(reference, ingest_log_at(4, false));
+  for (const int lanes : {1, 2, 4, 8}) {
+    EXPECT_EQ(reference, ingest_log_at(lanes, true)) << lanes << " lanes";
+  }
 }
 
 // ------------------------------------------- Full pipeline determinism ----
 
-/// Runs the full pipeline at a (producers, shards) point and returns the
-/// exported feed plus headline counters.
+/// Runs the full pipeline at a (producers, shards) point — the pipeline
+/// runs max(producers, shards) lanes — and returns the exported feed plus
+/// headline counters.
 std::string feed_jsonl_at(int producers, int shards,
                           PipelineStats* stats_out) {
   inet::PopulationConfig config;
@@ -172,10 +180,6 @@ std::string feed_jsonl_at(int producers, int shards,
   PipelineConfig pipe_config;
   pipe_config.num_producer_threads = producers;
   pipe_config.num_detector_shards = shards;
-  pipe_config.buffer_capacity = 8;
-  pipe_config.ingest_batch_size = 64;
-  pipe_config.producer_batch_size = 128;
-  pipe_config.producer_queue_capacity = 2;
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
   pipe.finish();
@@ -190,7 +194,7 @@ TEST(ParallelProducerTest, FeedInvariantAcrossProducerShardMatrix) {
   const std::string base = feed_jsonl_at(1, 1, &base_stats);
   EXPECT_GT(base_stats.records_published, 0u);
   for (const auto& [producers, shards] :
-       std::vector<std::pair<int, int>>{{2, 1}, {1, 4}, {4, 4}}) {
+       std::vector<std::pair<int, int>>{{2, 1}, {1, 4}, {8, 8}}) {
     PipelineStats stats;
     const std::string feed = feed_jsonl_at(producers, shards, &stats);
     EXPECT_EQ(base, feed) << producers << "x" << shards;
@@ -201,36 +205,6 @@ TEST(ParallelProducerTest, FeedInvariantAcrossProducerShardMatrix) {
   }
 }
 
-// --------------------------------------------------------- Shutdown ----
-
-TEST(ParallelProducerTest, StopsCleanlyWhileProducersAreBlocked) {
-  // A sink that throws after a prefix, with producers=4 and tiny queues
-  // so the workers are parked on blocked pushes when the throw lands: the
-  // exception must reach the caller, and the destructor must close the
-  // queues, unwind the workers and join them without deadlock.
-  const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
-  auto pop = small_population(aperture);
-  ProducerConfig config;
-  config.num_producers = 4;
-  config.batch_size = 64;
-  config.queue_capacity = 1;
-  std::size_t seen = 0;
-  {
-    ParallelProducer producer(pop, aperture, config);
-    EXPECT_THROW(
-        producer.emit_batches(0, kMicrosPerDay, 50,
-                              [&seen](const net::PacketBatch& batch) {
-                                seen += batch.size();
-                                if (seen >= 500) {
-                                  throw std::runtime_error("sink stops");
-                                }
-                              }),
-        std::runtime_error);
-    // Destructor runs here with mid-window worker state — must not hang.
-  }
-  EXPECT_EQ(seen, 500u);
-}
-
 // ------------------------------------------------ Batching + metrics ----
 
 TEST(ParallelProducerTest, BatchAndPacketAccounting) {
@@ -239,7 +213,6 @@ TEST(ParallelProducerTest, BatchAndPacketAccounting) {
   obs::MetricsRegistry registry;
   ProducerConfig config;
   config.num_producers = 3;
-  config.batch_size = 128;
   ParallelProducer producer(pop, aperture, config, &registry);
   std::size_t delivered = 0;
   producer.emit_batches(0, kMicrosPerHour, 100,
@@ -250,11 +223,6 @@ TEST(ParallelProducerTest, BatchAndPacketAccounting) {
   EXPECT_EQ(producer.packets_emitted(), delivered);
   EXPECT_EQ(registry.counter_value("exiot_producer_packets_total"),
             delivered);
-  // Batches were actually bounded: at least packets/batch_size of them.
-  EXPECT_GE(producer.batches_emitted(),
-            delivered / config.batch_size);
-  EXPECT_EQ(registry.counter_value("exiot_producer_batches_total"),
-            producer.batches_emitted());
 }
 
 TEST(ParallelProducerTest, PrunesExhaustedStreamsAcrossWindows) {

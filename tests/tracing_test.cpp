@@ -36,7 +36,7 @@ struct RunOutput {
 /// Full pipeline run over the small deterministic population (the same
 /// world annotate_test uses); returns the feed bytes for comparison plus
 /// the span count so tests can assert tracing actually ran (or didn't).
-RunOutput run_pipeline(int annotate_workers, int producers, int shards,
+RunOutput run_pipeline(int annotate_workers, int lanes,
                        double trace_sample) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
@@ -49,10 +49,7 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_detector_shards = shards;
-  pipe_config.num_producer_threads = producers;
-  pipe_config.buffer_capacity = 8;
-  pipe_config.ingest_batch_size = 64;
+  pipe_config.num_producer_threads = lanes;
   pipe_config.num_annotate_workers = annotate_workers;
   pipe_config.annotate_queue_capacity = 8;
   pipe_config.trace_sample = trace_sample;
@@ -90,17 +87,16 @@ TEST(TracingDeterminismTest, FeedInvariantAcrossSamplingMatrix) {
   // Baseline: fully serial, tracing off. Every other combination — any
   // parallelism at 0%, 1%, or 100% sampling — must produce byte-identical
   // feed output: tracing observes records, it never touches them.
-  const RunOutput baseline = run_pipeline(1, 1, 1, 0.0);
+  const RunOutput baseline = run_pipeline(1, 1, 0.0);
   EXPECT_GT(baseline.stats.records_published, 0u);
   EXPECT_EQ(baseline.spans_recorded, 0u);
-  for (const auto& [workers, producers, shards, sample] :
-       {std::tuple{1, 1, 1, 1.0}, std::tuple{2, 2, 2, 0.0},
-        std::tuple{2, 2, 2, 0.01}, std::tuple{2, 2, 2, 1.0},
-        std::tuple{4, 2, 2, 1.0}}) {
-    const RunOutput run = run_pipeline(workers, producers, shards, sample);
+  for (const auto& [workers, lanes, sample] :
+       {std::tuple{1, 1, 1.0}, std::tuple{2, 2, 0.0}, std::tuple{2, 2, 0.01},
+        std::tuple{2, 4, 1.0}, std::tuple{4, 8, 1.0}}) {
+    const RunOutput run = run_pipeline(workers, lanes, sample);
     EXPECT_EQ(baseline.feed, run.feed)
-        << "workers=" << workers << " producers=" << producers
-        << " shards=" << shards << " sample=" << sample;
+        << "workers=" << workers << " lanes=" << lanes
+        << " sample=" << sample;
     EXPECT_EQ(baseline.stats.records_published,
               run.stats.records_published);
     EXPECT_EQ(baseline.stats.iot_records, run.stats.iot_records);
@@ -127,7 +123,6 @@ TEST(TracesEndpointTest, CoversEveryStageAndSplitsWaitFromWork) {
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_detector_shards = 2;
   pipe_config.num_producer_threads = 2;
   pipe_config.num_annotate_workers = 2;
   pipe_config.trace_sample = 1.0;  // Trace everything.

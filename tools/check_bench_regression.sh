@@ -48,7 +48,7 @@ def leaves(node, path=""):
     out = {}
     if isinstance(node, dict):
         label = ",".join(f"{k}={node[k]}" for k in
-                         ("workers", "producers", "shards", "sampling",
+                         ("workers", "producers", "shards", "lanes", "sampling",
                           "mode", "sites", "coverage", "profile",
                           "cache", "conns", "loops")
                          if k in node)

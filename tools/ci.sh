@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: regular build + full test suite + metrics-name lint,
 # then a ThreadSanitizer build of the concurrency-bearing test binaries
-# (the threaded ingest stage, the blocking buffer, the epoll API plane —
-# event loops, worker pool, response cache, rate limiter, streaming
-# export, keep-alive, stop-while-serving — the parallel
+# (the capture lanes and their event merge, the blocking buffer, the epoll
+# API plane — event loops, worker pool, response cache, rate limiter,
+# streaming export, keep-alive, stop-while-serving — the source-partitioned
 # traffic producer, parallel forest training, the annotate worker pool
 # with its ordered reorder commit, the durability layer's WAL appends off
 # the committer thread including the kill-at-random-commit recovery test,
@@ -41,14 +41,14 @@ done
 sh tools/check_bench_regression.sh "$BENCH_OUT"
 rm -rf "$BENCH_OUT"
 
-echo "== ThreadSanitizer: pipeline / producer / annotate / federation / tracing / durability / fingerprint / flow / telescope / ml / api / batch tests =="
+echo "== ThreadSanitizer: pipeline / producer / lanes / annotate / federation / tracing / durability / fingerprint / flow / telescope / ml / api / batch tests =="
 cmake -B "$TSAN_BUILD" -S . -DEXIOT_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j"$(nproc)" \
-  --target pipeline_test producer_test annotate_test federation_test \
-           tracing_test durability_test fingerprint_test flow_test \
-           telescope_test ml_test api_test api_cache_test api_epoll_test \
-           robustness_test batch_test
-for t in pipeline_test producer_test annotate_test federation_test \
+  --target pipeline_test producer_test lanes_test annotate_test \
+           federation_test tracing_test durability_test fingerprint_test \
+           flow_test telescope_test ml_test api_test api_cache_test \
+           api_epoll_test robustness_test batch_test
+for t in pipeline_test producer_test lanes_test annotate_test federation_test \
          tracing_test durability_test fingerprint_test flow_test \
          telescope_test ml_test api_test api_cache_test api_epoll_test \
          robustness_test batch_test; do

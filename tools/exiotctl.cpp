@@ -7,8 +7,7 @@
 //       Replay captured hours through the flow detector and print per-hour
 //       telescope statistics.
 //   exiotctl simulate  [--scale S] [--days N] [--seed N]
-//                      [--producers N] [--shards N] [--buffer N]
-//                      [--batch-size N] [--annotate-workers N]
+//                      [--lanes N] [--batch-size N] [--annotate-workers N]
 //                      [--sites N] [--active-sites K]
 //                      [--site-skew S0,S1,...] [--site-outage IDX:FROM:TO]
 //                      [--site-reconnect S]
@@ -16,15 +15,14 @@
 //                      [--data-dir DIR] [--wal-segment-bytes N]
 //                      [--snapshot-interval H] [--wal-fsync none|roll|always]
 //                      [--jsonl FILE] [--csv FILE] [--dashboard FILE]
-//       Run the full pipeline and export the resulting feed. --producers
-//       synthesizes traffic on N producer threads, --shards runs the
-//       capture->detect stage on N detector threads, and
+//       Run the full pipeline and export the resulting feed. --lanes runs
+//       capture->detect as N source-partitioned lanes, each synthesizing,
+//       filtering and detecting its own sources on one thread, and
 //       --annotate-workers annotates/classifies records on N workers with
-//       an ordered reorder commit (output is identical for any producers
-//       x shards x annotate-workers combination); --buffer sets the
-//       per-shard capture buffer capacity in batches and --batch-size the
-//       rows per SoA decode batch on the capture->detect hot path (any
-//       value yields the identical feed). --trace-sample
+//       an ordered reorder commit (output is identical for any lanes x
+//       annotate-workers combination); --batch-size sets the rows per SoA
+//       batch on the capture->detect hot path (any value yields the
+//       identical feed). --trace-sample
 //       span-traces that fraction of records/batches end to end and
 //       --watchdog-deadline arms the stall watchdog (neither changes the
 //       feed bytes). --data-dir makes the run crash-safe: every ordered
@@ -49,21 +47,20 @@
 //   exiotctl fingerprint --banner TEXT
 //       Match a banner against the rule database.
 //   exiotctl metrics   [--scale S] [--days N] [--seed N]
-//                      [--producers N] [--shards N] [--buffer N]
-//                      [--annotate-workers N]
+//                      [--lanes N] [--annotate-workers N]
 //                      [--trace-sample R] [--watchdog-deadline MS]
 //                      [--format prom|json] [--out FILE]
 //       Run the pipeline and dump its metrics registry — Prometheus text
 //       exposition (what GET /v1/metrics serves) or the JSON snapshot.
-//   exiotctl trace     [--scale S] [--days N] [--seed N] [--producers N]
-//                      [--shards N] [--annotate-workers N]
+//   exiotctl trace     [--scale S] [--days N] [--seed N] [--lanes N]
+//                      [--annotate-workers N]
 //                      [--trace-sample R] [--limit N] [--format table|json]
 //       Run the pipeline with span tracing on (default --trace-sample
 //       0.01) and print the sampled end-to-end traces: per-stage
 //       processing time vs queue-wait time for each sampled record/batch
 //       (what GET /v1/traces serves).
-//   exiotctl serve     [--scale S] [--days N] [--seed N] [--producers N]
-//                      [--shards N] [--annotate-workers N]
+//   exiotctl serve     [--scale S] [--days N] [--seed N] [--lanes N]
+//                      [--annotate-workers N]
 //                      [--trace-sample R] [--watchdog-deadline MS]
 //                      [--data-dir DIR] [--wal-segment-bytes N]
 //                      [--snapshot-interval H] [--wal-fsync none|roll|always]
@@ -192,11 +189,11 @@ Cidr aperture() { return Cidr(Ipv4(44, 0, 0, 0), 8); }
 /// simulate/metrics/trace/serve.
 void apply_pipeline_flags(const Args& args,
                           pipeline::PipelineConfig& config) {
-  config.num_detector_shards = args.get_positive_int("--shards", 1);
-  config.num_producer_threads = args.get_positive_int("--producers", 1);
+  // One knob sizes the capture lanes (the pipeline runs the larger of
+  // these two fields).
+  config.num_producer_threads = config.num_detector_shards =
+      args.get_positive_int("--lanes", 1);
   config.num_annotate_workers = args.get_positive_int("--annotate-workers", 1);
-  config.buffer_capacity =
-      static_cast<std::size_t>(args.get_positive_int("--buffer", 64));
   config.decode_batch_size = static_cast<std::size_t>(
       args.get_positive_int("--batch-size",
                             static_cast<int>(config.decode_batch_size)));
