@@ -146,7 +146,7 @@ StageRun run_stage(const Workload& w, int workers) {
         return out;
       },
       [&run](pipeline::AnnotateResult& result) {
-        // Serial commit: the ordered sink the reorder window protects.
+        // Serial commit, in submit order on the calling thread.
         run.commit_order.push_back(result.record.src.value());
       },
       [](Ipv4, TimeMicros, TimeMicros) {});

@@ -44,7 +44,7 @@ enum class SpanStage : std::uint8_t {
   kIngest = 1,    // Capture batch through a detector shard.
   kDetect = 2,    // Scanner detection inside a shard (record trace root).
   kAnnotate = 3,  // Feature/score/enrich pass on an annotate worker.
-  kCommit = 4,    // Ordered commit through the reorder window.
+  kCommit = 4,    // Ordered commit at the end of an annotate pass.
   kPublish = 5,   // Feed store insert + active-cache registration.
 };
 constexpr int kSpanStageCount = 6;

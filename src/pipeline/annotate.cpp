@@ -1,276 +1,177 @@
 #include "pipeline/annotate.h"
 
-#include <chrono>
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "common/log.h"
+
 namespace exiot::pipeline {
-
-namespace {
-
-std::uint64_t elapsed_micros(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-}  // namespace
 
 AnnotateStage::AnnotateStage(AnnotateStageConfig config, Annotator annotator,
                              CommitFn commit, MarkEndedFn mark_ended,
                              obs::MetricsRegistry* metrics,
                              obs::Tracer* tracer, obs::Watchdog* watchdog)
-    : config_(config),
+    : workers_(std::max(config.num_workers, 1)),
+      capacity_(std::max<std::size_t>(config.queue_capacity, 1)),
       annotator_(std::move(annotator)),
       commit_(std::move(commit)),
       mark_ended_(std::move(mark_ended)),
       tracer_(tracer),
-      watchdog_(watchdog),
-      queue_(config.queue_capacity) {
+      watchdog_(watchdog) {
+  ops_.reserve(capacity_);
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
-  workers_g_ = &reg.gauge("exiot_annotate_workers",
-                          "Annotate-stage worker threads (0 = inline).");
+  reg.gauge("exiot_annotate_workers", "Annotate-stage worker threads.")
+      .set(static_cast<double>(workers_));
   inflight_g_ = &reg.gauge(
       "exiot_annotate_inflight",
       "Records submitted to the annotate stage and not yet committed.");
-  reorder_depth_g_ = &reg.gauge(
-      "exiot_annotate_reorder_depth",
-      "Ops parked in the reorder window awaiting ordered commit.");
   records_c_ = &reg.counter("exiot_annotate_records_total",
                             "Records annotated and committed to the feed.");
-  out_of_order_c_ = &reg.counter(
-      "exiot_annotate_out_of_order_total",
-      "Worker results that completed before an earlier record's.");
-  stall_c_ = &reg.counter(
-      "exiot_annotate_reorder_stall_micros_total",
-      "Wall-clock micros the committer waited on an unready window head "
-      "while later results sat ready.");
-  const int workers = config_.num_workers;
-  workers_g_->set(workers > 1 ? static_cast<double>(workers) : 0.0);
-  if (workers <= 1) return;
-  queue_.instrument(reg, {{"buffer", "annotate"}});
-  busy_c_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
+  busy_c_.reserve(static_cast<std::size_t>(workers_));
+  for (int w = 0; w < workers_; ++w) {
     busy_c_.push_back(&reg.counter(
         "exiot_annotate_worker_busy_micros_total",
         "Wall-clock micros each worker spent inside the annotator.",
         {{"worker", std::to_string(w)}}));
   }
-  committer_ = std::thread([this] { committer_loop(); });
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workers_.emplace_back(
-        [this, w] { worker_loop(static_cast<std::size_t>(w)); });
+}
+
+AnnotateStage::~AnnotateStage() {
+  try {
+    drain();
+  } catch (const std::exception& e) {
+    EXIOT_LOG(LogLevel::kError, "annotate",
+              std::string("pending ops dropped at teardown: ") + e.what());
+  } catch (...) {
+    EXIOT_LOG(LogLevel::kError, "annotate",
+              "pending ops dropped at teardown: unknown exception");
   }
 }
 
-AnnotateStage::~AnnotateStage() { shutdown(); }
-
 void AnnotateStage::submit(AnnotateJob job) {
-  const bool traced = tracer_ != nullptr && job.trace.sampled();
-  if (workers_.empty() || stopped_) {
-    // Serial reference path: annotate + commit inline, in call order.
-    // Spans still split annotate from commit; queue waits are zero by
-    // construction.
-    const std::uint64_t t0 = traced ? obs::steady_micros() : 0;
-    AnnotateResult result = annotator_(job);
-    result.trace = job.trace;
-    const std::uint64_t t1 = traced ? obs::steady_micros() : 0;
-    commit_(result);
-    if (traced) {
-      const std::uint64_t t2 = obs::steady_micros();
-      const std::uint32_t src = result.record.src.value();
-      tracer_->record(job.trace, obs::SpanStage::kAnnotate, t0, t1 - t0, 0,
-                      src);
-      tracer_->record(job.trace, obs::SpanStage::kCommit, t1, t2 - t1, 0,
-                      src);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
-    ++committed_;
-    commit_seq_.store(committed_, std::memory_order_release);
-    records_c_->inc();
-    return;
+  if (tracer_ != nullptr && job.trace.sampled()) {
+    job.trace.handoff_micros = obs::steady_micros();
   }
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    seq = submitted_++;
-    window_.emplace(seq, Op{});
-    inflight_g_->set(static_cast<double>(submitted_ - committed_));
-    reorder_depth_g_->set(static_cast<double>(window_.size()));
-  }
-  if (traced) job.trace.handoff_micros = obs::steady_micros();
-  (void)queue_.push(SeqJob{seq, std::move(job)});
+  Op op;
+  op.job = std::move(job);
+  ops_.push_back(std::move(op));
+  ++submitted_;
+  inflight_g_->set(static_cast<double>(ops_.size()));
+  if (ops_.size() >= capacity_) run_pass();
 }
 
 void AnnotateStage::submit_mark_ended(Ipv4 src, TimeMicros scan_end,
                                       TimeMicros at) {
-  if (workers_.empty() || stopped_) {
-    mark_ended_(src, scan_end, at);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
-    ++committed_;
-    commit_seq_.store(committed_, std::memory_order_release);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Op op;
-    op.kind = Op::Kind::kMarkEnded;
-    op.ready = true;  // Nothing to compute: born ready, commits in order.
-    op.src = src;
-    op.scan_end = scan_end;
-    op.at = at;
-    window_.emplace(submitted_++, std::move(op));
-    ++ready_;
-    inflight_g_->set(static_cast<double>(submitted_ - committed_));
-    reorder_depth_g_->set(static_cast<double>(window_.size()));
-  }
-  commit_cv_.notify_one();
+  Op op;
+  op.kind = Op::Kind::kMarkEnded;
+  op.src = src;
+  op.scan_end = scan_end;
+  op.at = at;
+  ops_.push_back(std::move(op));
+  ++submitted_;
+  inflight_g_->set(static_cast<double>(ops_.size()));
 }
 
-void AnnotateStage::worker_loop(std::size_t index) {
+void AnnotateStage::drain() { run_pass(); }
+
+void AnnotateStage::run_pass() {
+  const std::size_t n = ops_.size();
+  if (n == 0) return;
+  std::vector<std::atomic<bool>> ready(n);
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr error;
+  std::vector<std::jthread> pool;
+  try {
+    const std::size_t threads =
+        std::min(static_cast<std::size_t>(workers_), n);
+    pool.reserve(threads);
+    for (std::size_t w = 0; w < threads; ++w) {
+      pool.emplace_back([this, w, &next, &ready] {
+        annotate_ops(w, next, ready);
+      });
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ready[i].wait(false, std::memory_order_acquire);
+      Op& op = ops_[i];
+      if (op.error) std::rethrow_exception(op.error);
+      commit(op);
+      inflight_g_->set(static_cast<double>(n - i - 1));
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // On failure the ops after the failed one are never committed (so never
+  // logged); stop handing them out, then join whatever is still running.
+  next.store(n, std::memory_order_relaxed);
+  pool.clear();
+  ops_.clear();
+  inflight_g_->set(0.0);
+  if (error) std::rethrow_exception(error);
+}
+
+void AnnotateStage::annotate_ops(std::size_t worker,
+                                 std::atomic<std::size_t>& next,
+                                 std::vector<std::atomic<bool>>& ready) {
   auto heartbeat =
-      obs::Watchdog::attach(watchdog_, "annotate:" + std::to_string(index));
-  while (true) {
-    heartbeat.idle();  // Blocked on an empty job queue is not a stall.
-    auto item = queue_.pop();
-    heartbeat.busy();
-    if (!item.has_value()) break;
-    const bool traced = tracer_ != nullptr && item->job.trace.sampled();
-    const std::uint64_t pop_micros = traced ? obs::steady_micros() : 0;
-    const auto start = std::chrono::steady_clock::now();
-    AnnotateResult result = annotator_(item->job);
-    busy_c_[index]->inc(elapsed_micros(start));
-    result.trace = item->job.trace;
-    std::uint64_t ready_micros = 0;
-    if (traced) {
-      ready_micros = obs::steady_micros();
-      const std::uint64_t handoff = item->job.trace.handoff_micros;
-      tracer_->record(result.trace, obs::SpanStage::kAnnotate, pop_micros,
-                      ready_micros - pop_micros,
-                      pop_micros > handoff ? pop_micros - handoff : 0,
-                      result.record.src.value(), item->seq);
+      obs::Watchdog::attach(watchdog_, "annotate:" + std::to_string(worker));
+  std::uint64_t busy_micros = 0;
+  for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+       i < ops_.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+    Op& op = ops_[i];
+    if (op.kind == Op::Kind::kRecord) {
+      const std::uint64_t start = obs::steady_micros();
+      try {
+        op.result = annotator_(op.job);
+        op.result.trace = op.job.trace;
+      } catch (...) {
+        op.error = std::current_exception();
+      }
+      const std::uint64_t end = obs::steady_micros();
+      busy_micros += end - start;
+      op.annotate_micros = start;
+      op.ready_micros = end;
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = window_.find(item->seq);
-      it->second.ready = true;
-      it->second.result = std::move(result);
-      it->second.ready_micros = ready_micros;
-      ++ready_;
-      if (it != window_.begin()) out_of_order_c_->inc();
-    }
-    commit_cv_.notify_one();
+    ready[i].store(true, std::memory_order_release);
+    ready[i].notify_one();
     heartbeat.beat();
   }
+  busy_c_[worker]->inc(busy_micros);
   heartbeat.retire();
 }
 
-void AnnotateStage::committer_loop() {
-  auto heartbeat = obs::Watchdog::attach(watchdog_, "annotate:committer");
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    while (!head_ready() && !(stop_ && window_.empty())) {
-      // An unready head with ready successors is the reorder cost: a slow
-      // record blocking faster ones behind it. Only that wait counts as
-      // stall time; waiting on an empty window is just idleness. The state
-      // is re-sampled on every wakeup — a wait that began idle turns into
-      // a stall once workers park out-of-order results behind the head.
-      const bool stalled = !window_.empty() && ready_ > 0;
-      const auto start = std::chrono::steady_clock::now();
-      heartbeat.idle();  // Waiting on workers, by definition not stuck.
-      commit_cv_.wait(lock);
-      heartbeat.busy();
-      if (stalled) {
-        const std::uint64_t waited = elapsed_micros(start);
-        stall_micros_ += waited;
-        stall_c_->inc(waited);
-      }
-    }
-    if (!head_ready()) break;  // stop_ && window empty.
-    Op op = std::move(window_.begin()->second);
-    window_.erase(window_.begin());
-    --ready_;
-    reorder_depth_g_->set(static_cast<double>(window_.size()));
-    lock.unlock();
-    const bool traced = tracer_ != nullptr &&
-                        op.kind == Op::Kind::kRecord &&
-                        op.result.trace.sampled();
+void AnnotateStage::commit(Op& op) {
+  if (op.kind == Op::Kind::kMarkEnded) {
+    mark_ended_(op.src, op.scan_end, op.at);
+  } else {
+    AnnotateResult& result = op.result;
+    const bool traced = tracer_ != nullptr && result.trace.sampled();
     const std::uint64_t commit_start = traced ? obs::steady_micros() : 0;
-    apply(op);  // Feed publish / trainer / notifications: off the lock.
+    commit_(result);
+    records_c_->inc();
     if (traced) {
-      // Queue wait here is the ordered-commit cost: reorder-window holdup
-      // plus committer backlog between result-ready and commit start.
-      const std::uint64_t now = obs::steady_micros();
-      tracer_->record(op.result.trace, obs::SpanStage::kCommit,
-                      commit_start, now - commit_start,
+      // Both spans are recorded here, on the committing thread, so pass
+      // threads never allocate trace rings. kAnnotate's queue wait runs
+      // from submit to annotate start; kCommit's from ready to commit.
+      const std::uint32_t src = result.record.src.value();
+      const std::uint64_t handoff = result.trace.handoff_micros;
+      tracer_->record(result.trace, obs::SpanStage::kAnnotate,
+                      op.annotate_micros, op.ready_micros - op.annotate_micros,
+                      op.annotate_micros > handoff
+                          ? op.annotate_micros - handoff
+                          : 0,
+                      src, commit_sequence());
+      tracer_->record(result.trace, obs::SpanStage::kCommit, commit_start,
+                      obs::steady_micros() - commit_start,
                       commit_start > op.ready_micros
                           ? commit_start - op.ready_micros
                           : 0,
-                      op.result.record.src.value());
+                      src);
     }
-    heartbeat.beat();
-    lock.lock();
-    ++committed_;
-    commit_seq_.store(committed_, std::memory_order_release);
-    inflight_g_->set(static_cast<double>(submitted_ - committed_));
-    drain_cv_.notify_all();
   }
-  heartbeat.retire();
-}
-
-void AnnotateStage::apply(Op& op) {
-  if (op.kind == Op::Kind::kRecord) {
-    commit_(op.result);
-    records_c_->inc();
-  } else {
-    mark_ended_(op.src, op.scan_end, op.at);
-  }
-}
-
-void AnnotateStage::drain() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  drain_cv_.wait(lock, [this] { return committed_ == submitted_; });
-}
-
-void AnnotateStage::shutdown() {
-  if (workers_.empty() || stopped_) {
-    stopped_ = true;
-    return;
-  }
-  // Workers drain the queue backlog after close(), so every parked op
-  // eventually turns ready; the committer then empties the window before
-  // honoring stop_. Nothing in flight is lost.
-  queue_.close();
-  for (auto& worker : workers_) worker.join();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  commit_cv_.notify_all();
-  committer_.join();
-  workers_.clear();
-  stopped_ = true;
-}
-
-std::uint64_t AnnotateStage::submitted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return submitted_;
-}
-
-std::uint64_t AnnotateStage::committed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return committed_;
-}
-
-std::uint64_t AnnotateStage::reorder_stall_micros() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stall_micros_;
+  commit_seq_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace exiot::pipeline

@@ -1,48 +1,46 @@
-// The parallel annotate/classify/publish stage: the per-record work that
-// used to run inline on the merge thread — feature extraction, Random
-// Forest scoring, tool fingerprinting, rDNS/geo/whois enrichment, flow
-// statistics — fans out to K workers over a BoundedBuffer, and the results
-// flow back through a sequence-numbered reorder buffer so the side effects
+// The parallel annotate/classify/publish stage: the per-record work after
+// detection — feature extraction, Random Forest scoring, tool
+// fingerprinting, rDNS/geo/whois enrichment, flow statistics — runs in
+// ordered passes, and the side effects
 // (`feed_.publish`, `trainer_.add_example`, notifications, `mark_ended`)
 // fire in the exact order the records were submitted.
 //
-// Determinism contract (the same one the producer and ingest stages keep):
-// a record's content depends only on its job — the model registry is
-// frozen between `drain()` barriers, and every enrichment lookup is a pure
-// read — and commit order equals submit order, so the feed, the email
-// outbox, ObjectId assignment, and every API response are byte-identical
-// for any `num_workers` x producers x shards combination.
+// Determinism contract (the same one the capture lanes keep): a record's
+// content depends only on its job — the model registry is frozen between
+// `drain()` barriers, and every enrichment lookup is a pure read — and
+// commit order equals submit order, so the feed, the email outbox,
+// ObjectId assignment, and every API response are byte-identical for any
+// `num_workers` x lanes combination.
 //
-// Mechanics: `submit` assigns the job the next sequence number, parks a
-// placeholder in the reorder window, and pushes the job to the worker
-// queue. Workers annotate out of order and deposit results into the
-// window; a committer thread applies whatever contiguous prefix of the
-// window is ready, outside the stage lock. END_FLOW notices for records
-// that already left the pipeline enter the same window as born-ready ops
-// (`submit_mark_ended`), so feed mutations interleave exactly as they
-// would serially. `num_workers <= 1` bypasses the machinery entirely and
-// runs annotate + commit inline on the caller — the reference behavior the
-// parallel path is tested against.
+// Mechanics: `submit` and `submit_mark_ended` only append an op to a
+// vector, in submit order. `drain()` runs one pass over the pending ops,
+// and so does `submit` once `queue_capacity` ops are pending (the memory
+// bound). In a pass, `num_workers` short-lived threads claim op indices
+// from one atomic counter, annotate them, and raise each op's ready flag;
+// meanwhile the calling thread commits op i as soon as its flag is up,
+// strictly in index order. Commit order is submit order by construction,
+// and commits overlap annotation. One worker runs the same pass on one
+// thread.
 //
 // The driver must call `drain()` before any step that mutates state the
 // workers read (model retraining reallocates the deployed-model registry)
-// or that reads state the committer writes (feed expiry, stats snapshots).
+// or that reads state the commits write (feed expiry, stats snapshots).
+// Between barriers, commits run on the thread that calls `submit` or
+// `drain`.
 //
 // The ordered commit stream doubles as the pipeline's write-ahead log:
-// the commit callbacks run on the committer thread in exact submit order,
-// so the durability layer (pipeline/durability.h) appends each commit to
-// disk inside the callback, before its side effects — a total order that
-// holds for any workers x producers x shards combination, which is what
-// makes crash recovery byte-identical to an uninterrupted run.
+// the commit callbacks run in exact submit order, so the durability layer
+// (pipeline/durability.h) appends each commit to disk inside the callback,
+// before its side effects — a total order that holds for any workers x
+// lanes combination, which is what makes crash recovery byte-identical to
+// an uninterrupted run.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <condition_variable>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "feed/manager.h"
@@ -51,7 +49,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
-#include "pipeline/buffer.h"
 #include "pipeline/organizer.h"
 #include "pipeline/scan_module.h"
 
@@ -86,25 +83,30 @@ struct AnnotateResult {
   /// Propagated from the job by the stage (the annotator need not copy
   /// it); lets the commit callback hand the context to feed publish.
   obs::TraceContext trace;
+  /// The WAL publish payload, encoded by the annotator when durability is
+  /// on: encoding is pure, so it runs on a pass thread and the ordered
+  /// commit only appends it.
+  std::string wal_payload;
 };
 
 struct AnnotateStageConfig {
-  /// Worker threads; <= 1 runs annotate + commit inline on the caller.
+  /// Threads annotating during a pass (values < 1 run one).
   int num_workers = 1;
-  /// Capacity of the job queue, in records (back-pressure on submit).
+  /// Pending ops that make `submit` run a pass: the stage holds at most
+  /// this many between passes.
   std::size_t queue_capacity = 256;
 };
 
 class AnnotateStage {
  public:
-  /// Pure per-record computation; runs on worker threads, so it must only
+  /// Pure per-record computation; runs on pass threads, so it must only
   /// read state that is frozen between drain() barriers.
   using Annotator = std::function<AnnotateResult(const AnnotateJob&)>;
-  /// Side-effecting publication; runs on the committer thread, strictly in
-  /// submit order, never concurrently with itself.
+  /// Side-effecting publication; runs on the thread that called submit()
+  /// or drain(), strictly in submit order, never concurrently with itself.
   using CommitFn = std::function<void(AnnotateResult&)>;
-  /// Applies an END_FLOW for an already-published record; same committer
-  /// thread, same ordering guarantee. Args: (src, scan_end, processed_at).
+  /// Applies an END_FLOW for an already-published record; same thread,
+  /// same ordering guarantee. Args: (src, scan_end, processed_at).
   using MarkEndedFn = std::function<void(Ipv4, TimeMicros, TimeMicros)>;
 
   AnnotateStage(AnnotateStageConfig config, Annotator annotator,
@@ -112,105 +114,78 @@ class AnnotateStage {
                 obs::MetricsRegistry* metrics = nullptr,
                 obs::Tracer* tracer = nullptr,
                 obs::Watchdog* watchdog = nullptr);
+  /// Commits every pending op (drain()); a failure there is logged, since
+  /// a destructor cannot rethrow it.
   ~AnnotateStage();
 
   AnnotateStage(const AnnotateStage&) = delete;
   AnnotateStage& operator=(const AnnotateStage&) = delete;
 
-  /// Enqueues a record for annotation. Blocks when the job queue is full
-  /// (back-pressure). Serial mode annotates and commits before returning.
+  /// Queues a record for annotation; runs a pass when `queue_capacity`
+  /// ops are pending.
   void submit(AnnotateJob job);
 
   /// Sequences an END_FLOW for a record that already left the pipeline:
-  /// the op enters the reorder window born-ready, so it commits after
-  /// every earlier submission and before every later one.
+  /// it commits after every earlier submission and before every later one.
   void submit_mark_ended(Ipv4 src, TimeMicros scan_end, TimeMicros at);
 
-  /// Blocks until every submitted op has committed. The barrier the
-  /// driver needs before retraining / feed expiry / reading the feed.
+  /// Annotates and commits every pending op. The barrier the pipeline
+  /// needs before retraining / feed expiry / reading the feed. If the annotator
+  /// or a commit callback throws, the ops before the failed one are
+  /// committed, the rest are dropped, and the exception is rethrown here.
   void drain();
 
-  /// Stops the stage: closes the queue, lets workers finish the backlog,
-  /// commits everything, joins all threads. Idempotent; the destructor
-  /// calls it. Submissions after shutdown run inline (serial fallback).
-  void shutdown();
+  /// Same as drain(); kept for callers that end the stage explicitly.
+  void shutdown() { drain(); }
 
-  bool parallel() const { return workers_.size() > 0; }
-  int num_workers() const { return config_.num_workers; }
-  std::uint64_t submitted() const;
-  std::uint64_t committed() const;
-  /// Lock-free mirror of committed(): the sequence number of the last op
-  /// whose side effects are visible in the feed. Advances exactly when a
-  /// commit lands, so it is the validity key for API response caching —
-  /// readable from any thread without touching the stage lock.
+  int num_workers() const { return workers_; }
+  /// Ops submitted so far (calling thread only).
+  std::uint64_t submitted() const { return submitted_; }
+  std::uint64_t committed() const { return commit_sequence(); }
+  /// The sequence number of the last op whose side effects are visible in
+  /// the feed. Advances exactly when a commit lands, so it is the validity
+  /// key for API response caching — readable from any thread.
   std::uint64_t commit_sequence() const {
     return commit_seq_.load(std::memory_order_acquire);
   }
-  /// Wall-clock micros the committer waited on an unready window head
-  /// while later results sat ready (out-of-order completion cost).
-  std::uint64_t reorder_stall_micros() const;
 
  private:
   struct Op {
     enum class Kind { kRecord, kMarkEnded };
     Kind kind = Kind::kRecord;
-    bool ready = false;
-    AnnotateResult result;  // kRecord, once ready.
-    Ipv4 src;               // kMarkEnded.
+    AnnotateJob job;         // kRecord input.
+    AnnotateResult result;   // kRecord output, once ready.
+    std::exception_ptr error;  // The annotator threw instead.
+    Ipv4 src;                // kMarkEnded.
     TimeMicros scan_end = 0;
     TimeMicros at = 0;
-    /// steady_micros() when the result turned ready in the window; the
-    /// gap to commit start is the kCommit span's queue-wait (reorder +
-    /// committer backlog time).
+    /// steady_micros() around the annotator call, for traced records.
+    std::uint64_t annotate_micros = 0;
     std::uint64_t ready_micros = 0;
   };
-  struct SeqJob {
-    std::uint64_t seq = 0;
-    AnnotateJob job;
-  };
 
-  void worker_loop(std::size_t index);
-  void committer_loop();
-  /// Applies one committed op (outside the stage lock).
-  void apply(Op& op);
-  /// True when the oldest pending op can commit. Window keys are dense —
-  /// every sequence gets a slot at submit time — so the head of the map
-  /// is always the next op to commit.
-  bool head_ready() const {
-    return !window_.empty() && window_.begin()->second.ready;
-  }
+  /// Annotates and commits ops_ (see the file comment), then clears it.
+  void run_pass();
+  /// Pass thread body: claims op indices from `next` until none are left.
+  void annotate_ops(std::size_t worker, std::atomic<std::size_t>& next,
+                    std::vector<std::atomic<bool>>& ready);
+  /// Runs one op's commit callback, then advances commit_seq_.
+  void commit(Op& op);
 
-  AnnotateStageConfig config_;
+  int workers_ = 1;
+  std::size_t capacity_ = 1;  // Pending ops that trigger a pass.
   Annotator annotator_;
   CommitFn commit_;
   MarkEndedFn mark_ended_;
   obs::Tracer* tracer_ = nullptr;
   obs::Watchdog* watchdog_ = nullptr;
 
-  BoundedBuffer<SeqJob> queue_;
-  std::vector<std::thread> workers_;
-  std::thread committer_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable commit_cv_;  // Worker deposit / stop -> committer.
-  std::condition_variable drain_cv_;   // Commit progress -> drain().
-  std::map<std::uint64_t, Op> window_;  // Reorder buffer, keyed by seq.
+  std::vector<Op> ops_;  // Pending, in submit order.
   std::uint64_t submitted_ = 0;
-  std::uint64_t committed_ = 0;
-  /// Mirror of committed_ published after each commit's side effects; the
-  /// API reads it without the stage lock (see commit_sequence()).
   std::atomic<std::uint64_t> commit_seq_{0};
-  std::size_t ready_ = 0;  // Ready ops parked in the window.
-  std::uint64_t stall_micros_ = 0;
-  bool stop_ = false;
-  bool stopped_ = false;
 
-  obs::Gauge* workers_g_ = nullptr;
   obs::Gauge* inflight_g_ = nullptr;
-  obs::Gauge* reorder_depth_g_ = nullptr;
   obs::Counter* records_c_ = nullptr;
-  obs::Counter* out_of_order_c_ = nullptr;
-  obs::Counter* stall_c_ = nullptr;
   std::vector<obs::Counter*> busy_c_;  // Per-worker busy micros.
 };
 

@@ -218,13 +218,12 @@ bool Durability::advance_or_append(WalRecordType type,
   return true;
 }
 
-bool Durability::log_publish(const AnnotateResult& result) {
+bool Durability::log_publish(const std::string& payload) {
   if (commit_index_ < recovery_.recovered_index) {
     ++commit_index_;
     return false;
   }
-  return advance_or_append(WalRecordType::kPublish,
-                           encode_publish_payload(result));
+  return advance_or_append(WalRecordType::kPublish, payload);
 }
 
 bool Durability::log_mark_ended(Ipv4 src, TimeMicros scan_end,

@@ -101,12 +101,13 @@ class Durability {
   /// the caller should disable durability rather than risk divergence.
   Result<RecoveryInfo> recover();
 
-  /// Commit-side logging, called in exact commit order (committer thread,
-  /// or the driver between drain() barriers). Returns true when the caller
-  /// should run the commit's side effects; false when this commit index is
-  /// already covered by the recovered state (deterministic re-run after a
-  /// restart) and must be skipped.
-  bool log_publish(const AnnotateResult& result);
+  /// Commit-side logging, called in exact commit order (annotate commit
+  /// callbacks, or the pipeline thread between drain() barriers). Returns
+  /// true when the caller should run the commit's side effects; false when
+  /// this commit index is already covered by the recovered state
+  /// (deterministic re-run after a restart) and must be skipped. `payload`
+  /// is encode_publish_payload() of the committed result.
+  bool log_publish(const std::string& payload);
   bool log_mark_ended(Ipv4 src, TimeMicros scan_end, TimeMicros at);
   bool log_hour_end(std::int64_t hour, TimeMicros processing_end);
 

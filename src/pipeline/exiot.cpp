@@ -154,13 +154,20 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
       annotate_(
           AnnotateStageConfig{config.num_annotate_workers,
                               config.annotate_queue_capacity},
-          [this](const AnnotateJob& job) { return annotate_job(job); },
-          // Commit callbacks run on the committer thread in submit order;
+          [this](const AnnotateJob& job) {
+            AnnotateResult result = annotate_job(job);
+            if (durability_ != nullptr) {
+              result.wal_payload = encode_publish_payload(result);
+            }
+            return result;
+          },
+          // Commit callbacks run on the pipeline thread in submit order;
           // the durability layer appends each commit to the WAL before its
           // side effects (and suppresses commits a recovery already
           // applied — the deterministic re-run after a restart).
           [this](AnnotateResult& result) {
-            if (durability_ != nullptr && !durability_->log_publish(result)) {
+            if (durability_ != nullptr &&
+                !durability_->log_publish(result.wal_payload)) {
               return;
             }
             commit_annotated(result);
@@ -432,13 +439,13 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
         config_.processing_per_hour;
     handle_probe_outcomes(scan_module_.tick(processing_end));
     // Barrier: retraining reallocates the deployed-model registry the
-    // annotate workers read, and expiry/scrapes read committer-side state.
+    // annotate workers read, and expiry/scrapes read commit-side state.
     annotate_.drain();
     flight_.record("stage",
                    "hour " + std::to_string(hour) + " drained");
     // The hour boundary is a WAL commit like any publish: the drain
-    // barrier above means no committer activity races the driver-side
-    // append, and recovery replays (or suppression skips) it in order.
+    // barrier above means no pending commit races this append, and
+    // recovery replays (or suppression skips) it in order.
     if (durability_ == nullptr ||
         durability_->log_hour_end(hour, processing_end)) {
       apply_hour_end(processing_end);

@@ -78,12 +78,13 @@ struct PipelineConfig {
   std::size_t ingest_batch_size = 512;
   std::size_t producer_batch_size = 1024;
   std::size_t producer_queue_capacity = 8;
-  /// Annotate-stage workers (feature extraction, model scoring, tool
-  /// fingerprinting, enrichment); 1 keeps the stage serial. Results commit
-  /// through a reorder buffer in submit order, so the feed output is
-  /// byte-identical for any value (see pipeline/annotate.h).
+  /// Threads in each annotate pass (feature extraction, model scoring,
+  /// tool fingerprinting, enrichment) while the pipeline thread commits the
+  /// results in submit order, so the feed output is byte-identical for
+  /// any value (see pipeline/annotate.h).
   int num_annotate_workers = 1;
-  /// Capacity of the annotate job queue, in records.
+  /// Pending annotate ops (records and END_FLOW notices) that trigger a
+  /// pass between drain() barriers: the stage's memory bound.
   std::size_t annotate_queue_capacity = 256;
   /// Bound on the unknown-banner rule-authoring log.
   std::size_t unknown_banner_capacity =
@@ -160,7 +161,7 @@ class ExIotPipeline {
 
   feed::FeedManager& feed() { return feed_; }
   const feed::FeedManager& feed() const { return feed_; }
-  /// The annotate committer's sequence number: advances exactly when a
+  /// The annotate stage's commit sequence number: advances exactly when a
   /// commit's side effects become visible in the feed. Lock-free; the API
   /// response cache keys validity on it (api/cache.h).
   std::uint64_t commit_sequence() const { return annotate_.commit_sequence(); }
@@ -233,7 +234,7 @@ class ExIotPipeline {
   /// Worker-side annotation: pure computation over the job plus reads of
   /// state frozen between drain() barriers (model registry, enrichment).
   AnnotateResult annotate_job(const AnnotateJob& job) const;
-  /// Committer-side publication, strictly in submit order: trainer
+  /// Commit-side publication, strictly in submit order: trainer
   /// example, feed publish, mark-ended, notification. Shared verbatim with
   /// WAL replay (Durability's apply_publish hook), so recovery cannot
   /// drift from the live commit path.
@@ -283,13 +284,14 @@ class ExIotPipeline {
   FederationStage federation_;
   ReportStore reports_;
   /// Declared after the feed/trainer/outbox state it snapshots and before
-  /// annotate_, whose committer thread calls into it; constructed (and
+  /// annotate_, whose commit callbacks call into it; constructed (and
   /// recovery run) in the constructor body, after the commit hooks'
   /// targets are fully wired.
   std::unique_ptr<Durability> durability_;
   std::string recovery_error_;
   /// Declared after the feed/trainer/notification sinks its callbacks
-  /// touch, so its threads stop before any of them is destroyed.
+  /// touch, so its destructor commits pending ops before any of them is
+  /// destroyed.
   AnnotateStage annotate_;
   StageInstruments inst_;
   flow::DetectorStats scraped_;  // Detector counters already folded in.

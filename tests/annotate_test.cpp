@@ -1,13 +1,14 @@
-// Tests for the parallel annotate/classify/publish stage: the reorder
-// buffer's ordered-commit guarantee (unit level, with crafted completion
-// delays), shutdown with records in flight, and the pipeline-level
-// determinism matrix — feed export, email outbox, and API responses must
-// be byte-identical for any annotate-workers x capture-lanes x batch-size
-// combination.
+// Tests for the parallel annotate/classify/publish stage: the ordered
+// commit of each pass (unit level, with crafted completion delays), the
+// pass bound, annotator failures, shutdown with records pending, and the
+// pipeline-level determinism matrix — feed export, email outbox, and API
+// responses must be byte-identical for any annotate-workers x
+// capture-lanes x batch-size combination.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -20,7 +21,7 @@
 namespace exiot::pipeline {
 namespace {
 
-// ------------------------------------------------------ Reorder commit ----
+// ------------------------------------------------------ Ordered commit ----
 
 /// A job tagged with `index`; `sleep_ms` shapes the completion order.
 AnnotateJob tagged_job(int index, int sleep_ms) {
@@ -60,9 +61,8 @@ TEST(AnnotateStageTest, CommitsInSubmitOrderDespiteOutOfOrderCompletion) {
   CommitLog log;
   AnnotateStage stage({.num_workers = 4, .queue_capacity = 32},
                       delayed_annotator(), log.commit(), log.mark_ended());
-  ASSERT_TRUE(stage.parallel());
-  // The first job is the slowest: every later job completes before it, so
-  // all of them park in the reorder window until the head is ready.
+  // The first job is the slowest: every later job is annotated before it,
+  // and none of them may commit until it has.
   stage.submit(tagged_job(0, 60));
   for (int i = 1; i < 12; ++i) stage.submit(tagged_job(i, 0));
   stage.drain();
@@ -73,34 +73,25 @@ TEST(AnnotateStageTest, CommitsInSubmitOrderDespiteOutOfOrderCompletion) {
   }
   EXPECT_EQ(stage.submitted(), 12u);
   EXPECT_EQ(stage.committed(), 12u);
-  // Head-of-line blocking was real: the committer recorded stall time.
-  EXPECT_GT(stage.reorder_stall_micros(), 0u);
 }
 
 TEST(AnnotateStageTest, CommitSequenceMirrorsCommittedOnEveryPath) {
   // The lock-free commit_sequence mirror is what keys the API response
-  // cache; it must advance exactly once per commit on both the serial
-  // submit path and the parallel committer loop.
-  CommitLog serial_log;
-  AnnotateStage serial({.num_workers = 1, .queue_capacity = 4},
-                       delayed_annotator(), serial_log.commit(),
-                       serial_log.mark_ended());
-  EXPECT_EQ(serial.commit_sequence(), 0u);
-  serial.submit(tagged_job(1, 0));
-  EXPECT_EQ(serial.commit_sequence(), 1u);
-  serial.submit_mark_ended(Ipv4(192, 0, 2, 9), seconds(1), seconds(2));
-  EXPECT_EQ(serial.commit_sequence(), 2u);
-  serial.drain();
-  EXPECT_EQ(serial.commit_sequence(), serial.committed());
-
-  CommitLog parallel_log;
-  AnnotateStage parallel({.num_workers = 4, .queue_capacity = 16},
-                         delayed_annotator(), parallel_log.commit(),
-                         parallel_log.mark_ended());
-  for (int i = 0; i < 10; ++i) parallel.submit(tagged_job(i, 0));
-  parallel.drain();
-  EXPECT_EQ(parallel.commit_sequence(), 10u);
-  EXPECT_EQ(parallel.commit_sequence(), parallel.committed());
+  // cache; it must advance exactly once per commit, records and END_FLOW
+  // ops alike, at any worker count.
+  for (int workers : {1, 4}) {
+    CommitLog log;
+    AnnotateStage stage({.num_workers = workers, .queue_capacity = 16},
+                        delayed_annotator(), log.commit(), log.mark_ended());
+    EXPECT_EQ(stage.commit_sequence(), 0u);
+    for (int i = 0; i < 10; ++i) stage.submit(tagged_job(i, 0));
+    stage.submit_mark_ended(Ipv4(192, 0, 2, 9), seconds(1), seconds(2));
+    EXPECT_EQ(stage.commit_sequence(), 0u) << "workers=" << workers;
+    stage.drain();
+    EXPECT_EQ(stage.commit_sequence(), 11u) << "workers=" << workers;
+    EXPECT_EQ(stage.commit_sequence(), stage.committed());
+    EXPECT_EQ(log.entries.size(), 11u);
+  }
 }
 
 TEST(AnnotateStageTest, MarkEndedSequencesWithRecords) {
@@ -108,7 +99,7 @@ TEST(AnnotateStageTest, MarkEndedSequencesWithRecords) {
   AnnotateStage stage({.num_workers = 2, .queue_capacity = 8},
                       delayed_annotator(), log.commit(), log.mark_ended());
   // END_FLOW submitted between two records must commit between them, even
-  // though it is born ready and the first record is still annotating.
+  // though it needs no annotation and the first record is still annotating.
   stage.submit(tagged_job(1, 40));
   stage.submit_mark_ended(Ipv4(192, 0, 2, 9), seconds(5), seconds(6));
   stage.submit(tagged_job(2, 0));
@@ -120,36 +111,82 @@ TEST(AnnotateStageTest, MarkEndedSequencesWithRecords) {
 }
 
 TEST(AnnotateStageTest, ShutdownCommitsRecordsInFlight) {
-  // Stop with jobs queued and annotating: shutdown must drain the queue,
-  // finish the window, and commit everything — no record is lost.
+  // Records still pending when the stage ends — by shutdown() or by plain
+  // destruction, no drain() first — all commit, in submit order.
+  for (bool destroy : {false, true}) {
+    CommitLog log;
+    {
+      AnnotateStage stage({.num_workers = 4, .queue_capacity = 64},
+                          delayed_annotator(), log.commit(),
+                          log.mark_ended());
+      for (int i = 0; i < 24; ++i) stage.submit(tagged_job(i, i % 3));
+      EXPECT_TRUE(log.entries.empty());  // Below the pass bound.
+      if (!destroy) {
+        stage.shutdown();
+        EXPECT_EQ(stage.committed(), 24u);
+      }
+    }
+    ASSERT_EQ(log.entries.size(), 24u) << "destroy=" << destroy;
+    for (int i = 0; i < 24; ++i) {
+      EXPECT_EQ(log.entries[static_cast<std::size_t>(i)],
+                "R " + tagged_job(i, 0).summary.src.to_string());
+    }
+  }
+}
+
+TEST(AnnotateStageTest, FullPassRunsWithoutDrain) {
+  // queue_capacity bounds the pending ops: every capacity-th submit runs
+  // a pass, so with capacity 4 the first 12 of 13 records are committed
+  // before any drain().
   CommitLog log;
-  AnnotateStage stage({.num_workers = 4, .queue_capacity = 4},
+  AnnotateStage stage({.num_workers = 2, .queue_capacity = 4},
                       delayed_annotator(), log.commit(), log.mark_ended());
-  for (int i = 0; i < 24; ++i) stage.submit(tagged_job(i, i % 3));
-  stage.shutdown();  // No drain() first.
-  EXPECT_EQ(stage.committed(), 24u);
-  ASSERT_EQ(log.entries.size(), 24u);
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 13; ++i) stage.submit(tagged_job(i, i % 2));
+  ASSERT_EQ(log.entries.size(), 12u);
+  for (int i = 0; i < 12; ++i) {
     EXPECT_EQ(log.entries[static_cast<std::size_t>(i)],
               "R " + tagged_job(i, 0).summary.src.to_string());
   }
-  // Post-shutdown submissions fall back to the inline serial path.
-  stage.submit(tagged_job(99, 0));
-  EXPECT_EQ(log.entries.back(), "R " + tagged_job(99, 0).summary.src.to_string());
+  EXPECT_EQ(stage.commit_sequence(), 12u);
+  EXPECT_EQ(stage.submitted(), 13u);
+  stage.drain();
+  EXPECT_EQ(stage.commit_sequence(), 13u);
 }
 
-TEST(AnnotateStageTest, SerialModeCommitsInline) {
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 1, .queue_capacity = 4},
-                      delayed_annotator(), log.commit(), log.mark_ended());
-  EXPECT_FALSE(stage.parallel());
-  stage.submit(tagged_job(7, 0));
-  // No drain: serial submissions are committed before submit returns.
-  ASSERT_EQ(log.entries.size(), 1u);
-  EXPECT_EQ(log.entries[0], "R 10.0.0.7");
-  stage.submit_mark_ended(Ipv4(192, 0, 2, 1), 0, 0);
-  EXPECT_EQ(log.entries.back(), "E 192.0.2.1");
-  EXPECT_EQ(stage.committed(), 2u);
+TEST(AnnotateStageTest, ThrowingAnnotatorFailsDrainAfterCommittedPrefix) {
+  // An annotator exception reaches the drain() caller; the records before
+  // the failed one are committed in order, the rest are dropped, and the
+  // stage stays usable and destroys cleanly.
+  for (int workers : {1, 4}) {
+    CommitLog log;
+    AnnotateStage stage(
+        {.num_workers = workers, .queue_capacity = 64},
+        [](const AnnotateJob& job) {
+          if (job.summary.src == tagged_job(5, 0).summary.src) {
+            throw std::runtime_error("annotator failed");
+          }
+          // Later records finish first, so they are ready when job 5 fails.
+          std::this_thread::sleep_for(std::chrono::milliseconds(
+              job.summary.src.value() % 256 < 5 ? 5 : 0));
+          AnnotateResult result;
+          result.record.src = job.summary.src;
+          return result;
+        },
+        log.commit(), log.mark_ended());
+    for (int i = 0; i < 10; ++i) stage.submit(tagged_job(i, 0));
+    EXPECT_THROW(stage.drain(), std::runtime_error) << "workers=" << workers;
+    ASSERT_EQ(log.entries.size(), 5u) << "workers=" << workers;
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(log.entries[static_cast<std::size_t>(i)],
+                "R " + tagged_job(i, 0).summary.src.to_string());
+    }
+    EXPECT_EQ(stage.commit_sequence(), 5u);
+    stage.submit(tagged_job(20, 0));
+    stage.drain();
+    EXPECT_EQ(log.entries.back(),
+              "R " + tagged_job(20, 0).summary.src.to_string());
+    EXPECT_EQ(stage.commit_sequence(), 6u);
+  }
 }
 
 TEST(AnnotateStageTest, StageMetricsExposeProgress) {
@@ -160,15 +197,11 @@ TEST(AnnotateStageTest, StageMetricsExposeProgress) {
                       &registry);
   stage.submit(tagged_job(0, 30));
   for (int i = 1; i < 6; ++i) stage.submit(tagged_job(i, 0));
+  EXPECT_EQ(registry.gauge_value("exiot_annotate_inflight"), 6.0);
   stage.drain();
   EXPECT_EQ(registry.counter_value("exiot_annotate_records_total"), 6u);
   EXPECT_EQ(registry.gauge_value("exiot_annotate_inflight"), 0.0);
   EXPECT_EQ(registry.gauge_value("exiot_annotate_workers"), 2.0);
-  // Later jobs finished while job 0 slept.
-  EXPECT_GT(registry.counter_value("exiot_annotate_out_of_order_total"), 0u);
-  EXPECT_GT(
-      registry.counter_value("exiot_annotate_reorder_stall_micros_total"),
-      0u);
   std::uint64_t busy = 0;
   for (int w = 0; w < 2; ++w) {
     busy += registry.counter_value("exiot_annotate_worker_busy_micros_total",

@@ -4,10 +4,11 @@
 # (the capture lanes and their event merge, the blocking buffer, the epoll
 # API plane — event loops, worker pool, response cache, rate limiter,
 # streaming export, keep-alive, stop-while-serving — the source-partitioned
-# traffic producer, parallel forest training, the annotate worker pool
-# with its ordered reorder commit, the durability layer's WAL appends off
-# the committer thread including the kill-at-random-commit recovery test,
-# and concurrent banner-rule matching), and finally an ASan+UBSan build
+# traffic producer, parallel forest training, the annotate passes whose
+# threads annotate while the calling thread commits in submit order, the
+# durability layer's WAL appends inside those commits including the
+# kill-at-random-commit recovery test, and concurrent banner-rule
+# matching), and finally an ASan+UBSan build
 # running the full test suite, where any UBSan report fails the job.
 #
 #   tools/ci.sh [build-dir] [tsan-build-dir] [asan-build-dir]

@@ -18,8 +18,8 @@
 //       Run the full pipeline and export the resulting feed. --lanes runs
 //       capture->detect as N source-partitioned lanes, each synthesizing,
 //       filtering and detecting its own sources on one thread, and
-//       --annotate-workers annotates/classifies records on N workers with
-//       an ordered reorder commit (output is identical for any lanes x
+//       --annotate-workers annotates/classifies records on N workers and
+//       commits them in submit order (output is identical for any lanes x
 //       annotate-workers combination); --batch-size sets the rows per SoA
 //       batch on the capture->detect hot path (any value yields the
 //       identical feed). --trace-sample
