@@ -15,8 +15,8 @@
 //     not a parked thread;
 //   - the fixed pool of `num_workers` worker threads does request
 //     processing only, never connection waiting: parsed requests travel
-//     over a pipeline::BoundedBuffer (the same MPMC queue that backs the
-//     capture mbuffer), handlers run there, and the serialized response
+//     over a pipeline::BoundedBuffer (a bounded MPMC queue), handlers run
+//     there, and the serialized response
 //     comes back to the owning loop through an eventfd-signalled
 //     completion queue;
 //   - per-connection deadlines are enforced by a loop-side sweep instead

@@ -87,13 +87,9 @@ class FlowDetector {
   /// timestamp order (the capture is time-sorted).
   void process(const net::Packet& pkt);
 
-  /// Batched variant: replays exactly the decision sequence of calling
-  /// process() on every row of `batch` in order, but evaluates the
-  /// backscatter filter batch-wide over the SoA lanes (one flat
-  /// auto-vectorizable pass) before the per-row flow-table walk. If
-  /// `seq_cursor` is non-null, `*seq_cursor = lane_seqs[i]` is stored
-  /// before row i is processed, so event callbacks that read a shard's
-  /// current-sequence cell observe the same values as the scalar path.
+  /// Calls process() on every row of `batch` in order. If `seq_cursor`
+  /// is non-null, `*seq_cursor = lane_seqs[i]` is stored before row i is
+  /// processed, so event callbacks can read which row fired them.
   void process_batch(const net::PacketBatch& batch,
                      const std::uint64_t* lane_seqs,
                      std::uint64_t* seq_cursor);
@@ -126,8 +122,8 @@ class FlowDetector {
   };
 
   void roll_second(TimeMicros ts);
-  /// Flow-table update shared by process() and process_batch(): everything
-  /// after the backscatter filter and per-port accounting.
+  /// Flow-table update: everything after the backscatter filter and
+  /// per-port accounting.
   void update_source(const net::Packet& pkt);
   /// Ships the open per-second report (if any) and resets it.
   void flush_report();
@@ -150,7 +146,6 @@ class FlowDetector {
   /// SecondReport::per_port only when the report ships.
   std::vector<std::int32_t> report_port_index_;
   std::vector<std::uint64_t> port_counts_;
-  std::vector<std::uint8_t> backscatter_scratch_;
   /// Open-addressing table keyed by source address: the per-packet
   /// find-or-insert is the detect stage's hottest load, and the flat
   /// layout avoids unordered_map's node chase.

@@ -22,31 +22,6 @@ std::string Packet::summary() const {
   return buf;
 }
 
-bool is_backscatter(const Packet& pkt) {
-  switch (pkt.proto) {
-    case IpProto::kTcp: {
-      const bool syn = pkt.has_flag(tcp_flags::kSyn);
-      const bool ack = pkt.has_flag(tcp_flags::kAck);
-      const bool rst = pkt.has_flag(tcp_flags::kRst);
-      // Replies elicited by spoofed-source attack traffic: SYN-ACK, RST
-      // (with or without ACK), and pure ACK with no SYN.
-      if (syn && ack) return true;
-      if (rst) return true;
-      if (ack && !syn) return true;
-      return false;
-    }
-    case IpProto::kIcmp:
-      return pkt.icmp_type_v == icmp_type::kEchoReply ||
-             pkt.icmp_type_v == icmp_type::kUnreachable ||
-             pkt.icmp_type_v == icmp_type::kTimeExceeded;
-    case IpProto::kUdp:
-      // UDP responses cannot be distinguished from probes by flags alone;
-      // source ports of well-known services (e.g. DNS 53) indicate replies.
-      return pkt.src_port == 53 || pkt.src_port == 123 || pkt.src_port == 161;
-  }
-  return false;
-}
-
 Packet make_syn(TimeMicros ts, Ipv4 src, Ipv4 dst, std::uint16_t src_port,
                 std::uint16_t dst_port, std::uint32_t seq) {
   Packet p;

@@ -99,9 +99,28 @@ struct Packet {
 
 /// True for packets that are plausibly DDoS-backscatter or other replies
 /// rather than scan probes; these are filtered before flow tracking.
-/// Mirrors the paper's filter: SYN-ACK / RST / pure-ACK TCP packets and
-/// ICMP replies (echo reply, destination unreachable, time exceeded).
-bool is_backscatter(const Packet& pkt);
+/// Mirrors the paper's filter: SYN-ACK / RST / pure-ACK TCP packets (that
+/// is, any TCP packet with ACK or RST set), ICMP replies (echo reply,
+/// destination unreachable, time exceeded) and UDP replies from
+/// well-known service source ports (DNS, NTP, SNMP).
+///
+/// Evaluated without branches: the detector runs it on every packet, and
+/// the protocol mix is random enough that a branchy form mispredicts.
+inline bool is_backscatter(const Packet& pkt) {
+  const auto proto = static_cast<std::uint8_t>(pkt.proto);
+  const std::uint8_t type = pkt.icmp_type_v;
+  const std::uint16_t sport = pkt.src_port;
+  const bool tcp_reply =
+      (pkt.flags & (tcp_flags::kAck | tcp_flags::kRst)) != 0;
+  const bool icmp_reply = (type == icmp_type::kEchoReply) |
+                          (type == icmp_type::kUnreachable) |
+                          (type == icmp_type::kTimeExceeded);
+  const bool udp_reply = (sport == 53) | (sport == 123) | (sport == 161);
+  const bool tcp = proto == static_cast<std::uint8_t>(IpProto::kTcp);
+  const bool udp = proto == static_cast<std::uint8_t>(IpProto::kUdp);
+  const bool icmp = proto == static_cast<std::uint8_t>(IpProto::kIcmp);
+  return (tcp & tcp_reply) | (udp & udp_reply) | (icmp & icmp_reply);
+}
 
 /// Builds a well-formed TCP SYN probe packet — the most common telescope
 /// arrival — with sane defaults. Convenience for tests and generators.

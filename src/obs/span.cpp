@@ -60,7 +60,8 @@ Tracer::Tracer(TracerConfig config, MetricsRegistry* metrics)
         static std::atomic<std::uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
       }()),
-      config_(config) {
+      config_(config),
+      rings_(std::make_shared<Rings>()) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   config_.sample_rate = std::clamp(config_.sample_rate, 0.0, 1.0);
   MetricsRegistry& reg = metrics != nullptr ? *metrics : scratch_registry();
@@ -98,13 +99,43 @@ Tracer::Ring& Tracer::local_ring() {
   // Each (thread, tracer) pair resolves its ring once, then reuses the
   // cached pointer. Keyed by tracer_id_ (unique per instance, never reused)
   // so rings of destroyed tracers can't alias a new tracer's cache slot.
-  thread_local std::unordered_map<std::uint64_t, Ring*> cache;
-  auto it = cache.find(tracer_id_);
-  if (it != cache.end()) return *it->second;
-  std::lock_guard<std::mutex> lock(mutex_);
-  rings_.push_back(std::make_unique<Ring>(config_.ring_capacity));
-  Ring* ring = rings_.back().get();
-  cache[tracer_id_] = ring;
+  // On thread exit the cache hands each ring back to its tracer, if the
+  // tracer is still alive.
+  struct Lease {
+    std::weak_ptr<Rings> owner;
+    Ring* ring = nullptr;
+  };
+  struct Cache {
+    std::unordered_map<std::uint64_t, Lease> leases;
+    Cache() = default;
+    Cache(const Cache&) = delete;
+    Cache& operator=(const Cache&) = delete;
+    ~Cache() {
+      for (const auto& [id, lease] : leases) {
+        if (const std::shared_ptr<Rings> owner = lease.owner.lock()) {
+          std::lock_guard<std::mutex> lock(owner->mutex);
+          owner->free.push_back(lease.ring);
+        }
+      }
+    }
+  };
+  thread_local Cache cache;
+  auto it = cache.leases.find(tracer_id_);
+  if (it != cache.leases.end()) return *it->second.ring;
+  std::erase_if(cache.leases,
+                [](const auto& entry) { return entry.second.owner.expired(); });
+  Ring* ring = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(rings_->mutex);
+    if (rings_->free.empty()) {
+      rings_->all.push_back(std::make_unique<Ring>(config_.ring_capacity));
+      ring = rings_->all.back().get();
+    } else {
+      ring = rings_->free.back();
+      rings_->free.pop_back();
+    }
+  }
+  cache.leases.emplace(tracer_id_, Lease{rings_, ring});
   return *ring;
 }
 
@@ -138,8 +169,8 @@ void Tracer::record(const TraceContext& ctx, SpanStage stage,
 
 std::vector<Span> Tracer::snapshot() const {
   std::vector<Span> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& ring : rings_) {
+  std::lock_guard<std::mutex> lock(rings_->mutex);
+  for (const auto& ring : rings_->all) {
     std::lock_guard<std::mutex> ring_lock(ring->mutex);
     // Oldest-first: the overwrite cursor marks the oldest slot once the
     // ring has wrapped.

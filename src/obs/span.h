@@ -18,6 +18,10 @@
 // Storage is a lock-light per-thread ring: each recording thread owns a
 // fixed-capacity ring guarded by its own (uncontended) mutex; overflow
 // overwrites the oldest span and counts exiot_trace_spans_dropped_total.
+// A thread's ring outlives the thread: on exit it goes back to the tracer
+// and the next new recording thread takes it over, so threads respawned
+// per hour (the capture lanes) keep one ring per logical worker, and the
+// retained spans stay bounded by the most threads ever recording at once.
 // `snapshot()`/`to_json()` merge the rings for GET /v1/traces and
 // `exiotctl trace`.
 #pragma once
@@ -131,12 +135,20 @@ class Tracer {
     std::size_t next = 0;      // Overwrite cursor (spans.size() == cap).
   };
 
+  /// Every ring the tracer made, shared with the recording threads'
+  /// caches (weakly) so a thread exiting after the tracer is gone can
+  /// tell.
+  struct Rings {
+    mutable std::mutex mutex;  // Guards `all` and `free`.
+    std::vector<std::unique_ptr<Ring>> all;
+    std::vector<Ring*> free;  // Rings of exited threads, awaiting reuse.
+  };
+
   Ring& local_ring();
 
   const std::uint64_t tracer_id_;  // Keys the thread-local ring cache.
   TracerConfig config_;
-  mutable std::mutex mutex_;  // Guards rings_ registration / iteration.
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::shared_ptr<Rings> rings_;
   Counter* traces_c_;
   Counter* recorded_c_;
   Counter* dropped_c_;

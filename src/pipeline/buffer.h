@@ -1,17 +1,18 @@
-// The in-memory FIFO between pipeline stages — the paper's 15 GB mbuffer
-// that "curbs the effect of mismatched processing delays among the
-// modules". A thread-safe blocking queue: a full buffer exerts
-// back-pressure by blocking the producer instead of dropping (the paper's
-// no-data-loss requirement), and an empty buffer parks the consumer until
-// the producer catches up or the stream is closed.
+// A bounded MPMC FIFO: the API server's dispatch queue (api/tcp.cpp),
+// between the epoll event loops and the worker pool. Producers never
+// block: `try_push` refuses (and counts) an item when the queue is full,
+// and the server answers that request 503 instead of stalling its event
+// loop. Consumers park in `pop` until an item arrives or the queue is
+// closed.
 //
-// Lifecycle: push/pop freely from any number of threads; `close()` wakes
-// every blocked thread, after which pushes are refused and pops drain the
-// remaining items before returning nullopt. `reopen()` rearms a drained
-// buffer for the next cycle (the ingest stage closes per hour barrier).
+// Lifecycle: `close()` wakes every parked consumer, after which pushes
+// are refused and pops drain the remaining items before returning
+// nullopt. `reopen()` rearms a drained queue for the next start of the
+// server.
 //
-// Observability: `instrument()` registers depth / high-watermark gauges
-// and rejected / blocked-time counters in the pipeline MetricsRegistry.
+// Observability: `instrument()` registers depth / high-watermark gauges,
+// the rejected-push counter and the consumer blocked-time counter in a
+// MetricsRegistry.
 #pragma once
 
 #include <chrono>
@@ -21,8 +22,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -38,7 +37,7 @@ class BoundedBuffer {
   BoundedBuffer& operator=(const BoundedBuffer&) = delete;
 
   /// Registers this buffer's gauges/counters under `labels` (e.g.
-  /// {{"buffer", "capture"}, {"shard", "0"}}). Call before concurrent use.
+  /// {{"buffer", "api"}}). Call before concurrent use.
   void instrument(obs::MetricsRegistry& registry, const obs::Labels& labels) {
     depth_g_ = &registry.gauge("exiot_buffer_depth",
                                "Items currently queued in the buffer.",
@@ -48,42 +47,11 @@ class BoundedBuffer {
     rejected_c_ = &registry.counter(
         "exiot_buffer_rejected_total",
         "Non-blocking push attempts refused by back-pressure.", labels);
-    obs::Labels producer = labels, consumer = labels;
-    producer.emplace_back("side", "producer");
+    obs::Labels consumer = labels;
     consumer.emplace_back("side", "consumer");
-    const std::string help =
-        "Wall-clock microseconds spent blocked on the buffer.";
-    producer_blocked_c_ =
-        &registry.counter("exiot_buffer_blocked_micros_total", help, producer);
-    consumer_blocked_c_ =
-        &registry.counter("exiot_buffer_blocked_micros_total", help, consumer);
-  }
-
-  /// Enqueues, blocking while at capacity (back-pressure). Returns false
-  /// only when the buffer is closed.
-  bool push(T item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    wait_for_space(lock);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    did_push();
-    return true;
-  }
-
-  /// Batch push: enqueues every item (blocking as capacity requires) until
-  /// done or closed. Returns the number of items accepted; `items` is left
-  /// in a moved-from state.
-  std::size_t push_all(std::vector<T>& items) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    std::size_t accepted = 0;
-    for (T& item : items) {
-      wait_for_space(lock);
-      if (closed_) break;
-      items_.push_back(std::move(item));
-      did_push();
-      ++accepted;
-    }
-    return accepted;
+    consumer_blocked_c_ = &registry.counter(
+        "exiot_buffer_blocked_micros_total",
+        "Wall-clock microseconds spent blocked on the buffer.", consumer);
   }
 
   /// Non-blocking push. Returns false (and counts the rejection) when full,
@@ -112,37 +80,13 @@ class BoundedBuffer {
     return out;
   }
 
-  /// Batch pop: blocks for at least one item (unless closed + drained),
-  /// then moves up to `max` items into `out`. Returns the count moved.
-  std::size_t pop_all(std::vector<T>& out, std::size_t max) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    wait_for_item(lock);
-    std::size_t moved = 0;
-    while (moved < max && !items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      did_pop();
-      ++moved;
-    }
-    return moved;
-  }
-
-  /// Non-blocking pop: nullopt when empty (regardless of closed state).
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T out = std::move(items_.front());
-    did_pop();
-    return out;
-  }
-
-  /// End of stream: wakes every blocked producer and consumer. Remaining
-  /// items stay poppable; further pushes are refused.
+  /// End of stream: wakes every blocked consumer. Remaining items stay
+  /// poppable; further pushes are refused.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       closed_ = true;
     }
-    not_full_.notify_all();
     not_empty_.notify_all();
   }
 
@@ -172,28 +116,14 @@ class BoundedBuffer {
     std::lock_guard<std::mutex> lock(mutex_);
     return rejected_;
   }
-  /// Wall-clock time producers/consumers spent parked on this buffer.
-  std::uint64_t producer_blocked_micros() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return producer_blocked_;
-  }
+  /// Wall-clock time consumers spent parked on this buffer.
   std::uint64_t consumer_blocked_micros() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return consumer_blocked_;
   }
 
  private:
-  // All four helpers run with mutex_ held.
-  void wait_for_space(std::unique_lock<std::mutex>& lock) {
-    if (items_.size() < capacity_ || closed_) return;
-    const auto start = std::chrono::steady_clock::now();
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || closed_; });
-    const std::uint64_t waited = elapsed_micros(start);
-    producer_blocked_ += waited;
-    if (producer_blocked_c_ != nullptr) producer_blocked_c_->inc(waited);
-  }
-
+  // All three helpers run with mutex_ held.
   void wait_for_item(std::unique_lock<std::mutex>& lock) {
     if (!items_.empty() || closed_) return;
     const auto start = std::chrono::steady_clock::now();
@@ -217,7 +147,6 @@ class BoundedBuffer {
   void did_pop() {
     items_.pop_front();
     if (depth_g_ != nullptr) depth_g_->set(static_cast<double>(items_.size()));
-    not_full_.notify_one();
   }
 
   static std::uint64_t elapsed_micros(
@@ -230,18 +159,15 @@ class BoundedBuffer {
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
   bool closed_ = false;
   std::size_t high_watermark_ = 0;
   std::size_t rejected_ = 0;
-  std::uint64_t producer_blocked_ = 0;
   std::uint64_t consumer_blocked_ = 0;
   obs::Gauge* depth_g_ = nullptr;
   obs::Gauge* watermark_g_ = nullptr;
   obs::Counter* rejected_c_ = nullptr;
-  obs::Counter* producer_blocked_c_ = nullptr;
   obs::Counter* consumer_blocked_c_ = nullptr;
 };
 

@@ -418,8 +418,8 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
     // its own thread, synthesizes its source partition straight into
     // PacketBatch rows, passes them through the federation filter (per-site
     // sightings into the lane's table, dark-aperture rows dropped; a
-    // pass-through at num_sites == 1) and detects them with one
-    // backscatter sweep per batch. Only detector events cross threads.
+    // pass-through at num_sites == 1) and detects them row by row. Only
+    // detector events cross threads.
     ingest_.run_hour_lanes(
         [this, start, end](std::size_t lane,
                            const LaneBatchFn& detect) {

@@ -66,8 +66,8 @@ struct PipelineConfig {
   /// output is byte-identical for any lane count. CLI: `exiotctl --lanes`.
   int num_producer_threads = 1;
   int num_detector_shards = 1;
-  /// Rows per SoA PacketBatch moved through the capture->detect hot path
-  /// (lane synthesis, batched backscatter filtering). Any value yields the
+  /// Rows per PacketBatch moved through the capture->detect hot path
+  /// (lane synthesis, federation filter, detection). Any value yields the
   /// byte-identical feed; it only trades per-batch overhead against cache
   /// footprint. CLI: `exiotctl --batch-size`.
   std::size_t decode_batch_size = 512;

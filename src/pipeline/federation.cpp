@@ -69,14 +69,12 @@ const net::PacketBatch& FederationStage::filter(
     Lane& lane, const net::PacketBatch& batch, const std::uint32_t* hosts,
     const std::uint32_t*& kept_hosts, std::uint64_t& dropped) {
   const std::size_t n = batch.size();
-  const TimeMicros* ts = batch.ts();
-  const std::uint32_t* src = batch.src();
-  const std::uint32_t* dst = batch.dst();
   const auto active = static_cast<std::size_t>(active_);
   std::fill(lane.site_counts.begin(), lane.site_counts.end(), 0);
   std::size_t dark = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t site = site_of(dst[i]);
+    const net::Packet& pkt = batch[i];
+    const std::size_t site = site_of(pkt.dst.value());
     if (site >= active) {
       // Dark aperture (or outside the telescope): nobody is listening
       // there. The first drop switches the batch to a compacted copy.
@@ -91,10 +89,10 @@ const net::PacketBatch& FederationStage::filter(
       continue;
     }
     ++lane.site_counts[site];
-    lane.sightings.record(src[i], static_cast<std::uint32_t>(site), ts[i],
-                          ts[i] + sites_[site].clock_skew);
+    lane.sightings.record(pkt.src.value(), static_cast<std::uint32_t>(site),
+                          pkt.ts, pkt.ts + sites_[site].clock_skew);
     if (dark != 0) {
-      lane.out.push_back(batch[i]);
+      lane.out.push_back(pkt);
       if (hosts != nullptr) lane.out_hosts.push_back(hosts[i]);
     }
   }

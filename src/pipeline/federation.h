@@ -4,7 +4,7 @@
 // deterministic packet stream the flow detectors consume.
 //
 // Placement: between the producer (canonical traffic synthesis against
-// the full aperture) and detection. Each canonical SoA batch is filtered
+// the full aperture) and detection. Each canonical batch is filtered
 // in one in-order pass: every row is attributed by destination to the
 // site whose sub-prefix it lands in, sightings and per-site packet counts
 // are recorded, and rows landing in a dark (inactive) site or outside the

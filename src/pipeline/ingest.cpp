@@ -83,7 +83,7 @@ ThreadedIngest::Key ThreadedIngest::key_of(const Lane& lane) {
   }
   if (lane.hosts == nullptr) return Key{0, 0, lane.cursor};
   const std::size_t row = lane.cursor - lane.base;
-  return Key{lane.ts[row], lane.hosts[row], lane.cursor};
+  return Key{lane.rows[row].ts, lane.hosts[row], lane.cursor};
 }
 
 std::size_t ThreadedIngest::run_hour_batched(const BatchSource& source,
@@ -103,10 +103,9 @@ std::size_t ThreadedIngest::run_hour_batched(const BatchSource& source,
       lane->routed.clear();
       lane->ordinals.clear();
     }
-    const std::uint32_t* src = in.src();
-    for (std::size_t i = 0; i < m; ++i) {
-      Lane& lane = *lanes_[lane_of(src[i], n)];
-      lane.routed.push_back(in[i]);
+    for (const net::Packet& pkt : in) {
+      Lane& lane = *lanes_[lane_of(pkt.src.value(), n)];
+      lane.routed.push_back(pkt);
       lane.ordinals.push_back(seq_++);
     }
     for (auto& lane : lanes_) {
@@ -131,7 +130,7 @@ std::size_t ThreadedIngest::run_lane(std::size_t i, const LaneSource& source,
                   lane.next_ordinal);
         lane.base = lane.next_ordinal;
         lane.next_ordinal += m;
-        lane.ts = batch.ts();
+        lane.rows = batch.data();
         lane.hosts = hosts;
         obs::TraceContext trace;
         if (tracing) {
@@ -174,7 +173,7 @@ std::size_t ThreadedIngest::run_hour_lanes(const LaneSource& source,
       errors[i] = std::current_exception();
     }
     Lane& lane = *lanes_[i];
-    lane.ts = nullptr;
+    lane.rows = nullptr;
     lane.hosts = nullptr;
     lane.batch_start_micros = 0;
   };

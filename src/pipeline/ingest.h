@@ -63,7 +63,7 @@ struct IngestConfig {
 class ThreadedIngest {
  public:
   using BatchFn = std::function<void(const net::PacketBatch&)>;
-  /// A batched packet source: invokes the callback once per SoA batch
+  /// A batched packet source: invokes the callback once per batch
   /// (rows in canonical order across calls), returning the total number
   /// of packets emitted. The callback borrows the batch only for the call.
   using BatchSource = std::function<std::size_t(const BatchFn&)>;
@@ -86,7 +86,7 @@ class ThreadedIngest {
   ThreadedIngest(const ThreadedIngest&) = delete;
   ThreadedIngest& operator=(const ThreadedIngest&) = delete;
 
-  /// Runs one capture hour serially: streams `source`'s SoA batches
+  /// Runs one capture hour serially: streams `source`'s batches
   /// through the lane detectors on the calling thread, runs the expiry
   /// sweep at `hour_end`, and replays all detector events into the sink
   /// before returning. Returns the number of packets processed.
@@ -141,7 +141,7 @@ class ThreadedIngest {
     /// process_batch() stores each row's ordinal in `cursor` first.
     std::uint64_t cursor = 0;
     std::uint64_t base = 0;                // Ordinal of the batch's row 0.
-    const TimeMicros* ts = nullptr;        // Row timestamps.
+    const net::Packet* rows = nullptr;     // The batch's rows.
     const std::uint32_t* hosts = nullptr;  // Row hosts; null: serial path.
     bool at_barrier = false;
     std::uint64_t next_ordinal = 0;       // Lane packets so far.

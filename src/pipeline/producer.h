@@ -48,7 +48,7 @@ class ParallelProducer {
   ParallelProducer& operator=(const ParallelProducer&) = delete;
 
   /// Emits every packet with ts in [t0, t1), from every partition, in the
-  /// canonical (ts, host_index) order, delivered as SoA batches of
+  /// canonical (ts, host_index) order, delivered as batches of
   /// `batch_size` rows via `fn(const net::PacketBatch&)` on the calling
   /// thread (void return; the batch is borrowed only for the call). If
   /// `fn` throws, the exception propagates and the streams are left

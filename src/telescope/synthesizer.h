@@ -185,15 +185,13 @@ std::size_t merge_window(const std::vector<MergeSlot>& slots, TimeMicros t1,
   while (!tree.exhausted()) {
     const std::uint32_t slot = tree.top();
     HostStream& stream = *slots[slot].stream;
-    net::Packet& row = batch.append_slot();
     // An open slot's peek_ts is < t1, so the stream has a packet and its
     // timestamp is inside the window (next_into fills at peek_ts).
-    if (!stream.next_into(row)) {
-      batch.abandon_back();
+    if (!stream.next_into(batch.emplace_back())) {
+      batch.pop_back();
       tree.close(slot);
       continue;
     }
-    batch.commit_back();
     if (row_hosts != nullptr) row_hosts->push_back(slots[slot].host);
     ++count;
     if (batch.size() >= batch_size) flush();
@@ -237,7 +235,7 @@ class TrafficSynthesizer {
   }
 
   /// Batched emit: same packets in the same order, synthesized directly
-  /// into SoA batch rows and delivered `batch_size` at a time as
+  /// into batch rows and delivered `batch_size` at a time as
   /// `fn(const net::PacketBatch&)`.
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,

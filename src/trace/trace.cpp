@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 
@@ -139,14 +140,11 @@ std::size_t TraceDecoder::next_batch(net::PacketBatch& batch,
   std::span<const std::uint8_t> body;
   while (n < max) {
     if (next_record(&ts, &body) <= 0) break;
-    net::Packet& slot = batch.append_slot();
-    if (net::parse_canonical(body, ts, slot)) {
-      batch.commit_back();
-    } else {
+    if (!net::parse_canonical(body, ts, batch.emplace_back())) {
       // Non-canonical or invalid record: the scalar parse either accepts
       // it (unusual but well-formed image) or produces the exact error
       // text `next` would.
-      batch.abandon_back();
+      batch.pop_back();
       auto parsed = net::parse(body, ts);
       if (!parsed.ok()) {
         last_error_ = parsed.error().message;
@@ -173,6 +171,22 @@ std::string HourlyTraceWriter::file_name(std::int64_t hour_index) {
   std::snprintf(buf, sizeof(buf), "telescope-%06lld.ext",
                 static_cast<long long>(hour_index));
   return buf;
+}
+
+std::optional<std::int64_t> HourlyTraceWriter::hour_of(
+    std::string_view name) {
+  constexpr std::string_view kPrefix = "telescope-";
+  constexpr std::string_view kSuffix = ".ext";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
+    return std::nullopt;
+  }
+  name.remove_prefix(kPrefix.size());
+  name.remove_suffix(kSuffix.size());
+  std::int64_t hour = -1;
+  const char* end = name.data() + name.size();
+  const auto [ptr, ec] = std::from_chars(name.data(), end, hour);
+  if (ec != std::errc{} || ptr != end || hour < 0) return std::nullopt;
+  return hour;
 }
 
 Status HourlyTraceWriter::add(const net::Packet& pkt) {

@@ -15,7 +15,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -105,6 +108,9 @@ class HourlyTraceWriter {
   Status close();
 
   static std::string file_name(std::int64_t hour_index);
+  /// The inverse of file_name: the hour index a trace file name carries,
+  /// or nullopt if `name` is not a "telescope-<hour_index>.ext" name.
+  static std::optional<std::int64_t> hour_of(std::string_view name);
 
  private:
   Status rotate_to(std::int64_t hour_index);

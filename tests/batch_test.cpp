@@ -1,4 +1,4 @@
-// Equivalence fuzz suite for the batched SoA hot path: every batched
+// Equivalence fuzz suite for the batched hot path: every batched
 // routine must reproduce its scalar counterpart exactly — same packets,
 // same error strings, same events, bit-identical scores — across batch
 // sizes {1, 7, 64, 1024}. The batched code is an optimization, never a
@@ -24,9 +24,9 @@ namespace {
 
 constexpr std::size_t kBatchSizes[] = {1, 7, 64, 1024};
 
-// Random packet covering every lane the batch filters read: all three
-// protocols, backscatter and probe flag combinations, Mirai seq==dst hits,
-// reply-port UDP sources, the ICMP reply types.
+// Random packet covering every field the per-packet filters read: all
+// three protocols, backscatter and probe flag combinations, Mirai seq==dst
+// hits, reply-port UDP sources, the ICMP reply types.
 net::Packet random_packet(Rng& rng, TimeMicros ts) {
   net::Packet p;
   p.ts = ts;
@@ -105,50 +105,83 @@ std::vector<net::Packet> random_packets(Rng& rng, std::size_t n) {
   return pkts;
 }
 
-TEST(BatchLanes, LanesMirrorTheBackingRows) {
-  Rng rng(2101);
-  net::PacketBatch batch;
-  const auto pkts = random_packets(rng, 777);
-  for (const auto& p : pkts) batch.push_back(p);
-  ASSERT_EQ(batch.size(), pkts.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], pkts[i]);
-    EXPECT_EQ(batch.ts()[i], pkts[i].ts);
-    EXPECT_EQ(batch.src()[i], pkts[i].src.value());
-    EXPECT_EQ(batch.dst()[i], pkts[i].dst.value());
-    EXPECT_EQ(batch.seq()[i], pkts[i].seq);
-    EXPECT_EQ(batch.src_port()[i], pkts[i].src_port);
-    EXPECT_EQ(batch.dst_port()[i], pkts[i].dst_port);
-    EXPECT_EQ(batch.total_length()[i], pkts[i].total_length);
-    EXPECT_EQ(batch.proto()[i], static_cast<std::uint8_t>(pkts[i].proto));
-    EXPECT_EQ(batch.flags()[i], pkts[i].flags);
-    EXPECT_EQ(batch.icmp_type()[i], pkts[i].icmp_type_v);
+// The reference backscatter predicate: the paper's filter written as the
+// plain per-protocol switch. net::is_backscatter is the branch-free form
+// the detector runs; this oracle pins it.
+bool reference_is_backscatter(const net::Packet& pkt) {
+  switch (pkt.proto) {
+    case net::IpProto::kTcp: {
+      const bool syn = pkt.has_flag(net::tcp_flags::kSyn);
+      const bool ack = pkt.has_flag(net::tcp_flags::kAck);
+      const bool rst = pkt.has_flag(net::tcp_flags::kRst);
+      if (syn && ack) return true;
+      if (rst) return true;
+      if (ack && !syn) return true;
+      return false;
+    }
+    case net::IpProto::kIcmp:
+      return pkt.icmp_type_v == net::icmp_type::kEchoReply ||
+             pkt.icmp_type_v == net::icmp_type::kUnreachable ||
+             pkt.icmp_type_v == net::icmp_type::kTimeExceeded;
+    case net::IpProto::kUdp:
+      return pkt.src_port == 53 || pkt.src_port == 123 ||
+             pkt.src_port == 161;
   }
+  return false;
 }
 
 TEST(BatchLanes, BackscatterMaskMatchesScalarPredicate) {
   Rng rng(2103);
-  net::PacketBatch batch;
-  for (const auto& p : random_packets(rng, 4096)) batch.push_back(p);
-  std::vector<std::uint8_t> mask(batch.size());
-  net::backscatter_mask(batch, mask.data());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(mask[i] != 0, net::is_backscatter(batch[i]))
-        << "lane " << i << ": " << batch[i].summary();
+  std::vector<net::Packet> pkts = random_packets(rng, 4096);
+  // The hand-picked cases of net_test's BackscatterTest: every TCP flag
+  // combination it names, the ICMP reply and request types, and UDP
+  // replies vs probes to a service port.
+  const net::Packet syn =
+      net::make_syn(0, Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 1, 23);
+  for (const std::uint8_t flags : {
+           net::tcp_flags::kSyn,
+           static_cast<std::uint8_t>(net::tcp_flags::kSyn |
+                                     net::tcp_flags::kAck),
+           net::tcp_flags::kRst,
+           static_cast<std::uint8_t>(net::tcp_flags::kRst |
+                                     net::tcp_flags::kAck),
+           net::tcp_flags::kAck,
+           static_cast<std::uint8_t>(net::tcp_flags::kAck |
+                                     net::tcp_flags::kPsh),
+           net::tcp_flags::kFin,
+           static_cast<std::uint8_t>(net::tcp_flags::kFin |
+                                     net::tcp_flags::kPsh |
+                                     net::tcp_flags::kUrg),
+       }) {
+    net::Packet p = syn;
+    p.flags = flags;
+    pkts.push_back(p);
   }
-}
-
-TEST(BatchLanes, MiraiLaneCountMatchesScalarPredicate) {
-  Rng rng(2105);
-  net::PacketBatch batch;
-  for (const auto& p : random_packets(rng, 4096)) batch.push_back(p);
-  std::size_t scalar = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const net::Packet& p = batch[i];
-    scalar += p.proto == net::IpProto::kTcp && p.seq == p.dst.value();
+  for (const std::uint8_t type :
+       {net::icmp_type::kEchoReply, net::icmp_type::kUnreachable,
+        net::icmp_type::kTimeExceeded, net::icmp_type::kEchoRequest}) {
+    net::Packet p;
+    p.proto = net::IpProto::kIcmp;
+    p.icmp_type_v = type;
+    pkts.push_back(p);
   }
-  EXPECT_EQ(net::count_mirai_lanes(batch), scalar);
-  EXPECT_GT(scalar, 0u);  // The generator must actually exercise the hit.
+  for (const auto& [sport, dport] :
+       {std::pair<std::uint16_t, std::uint16_t>{53, 40000}, {40000, 53}}) {
+    net::Packet p;
+    p.proto = net::IpProto::kUdp;
+    p.src_port = sport;
+    p.dst_port = dport;
+    pkts.push_back(p);
+  }
+  std::size_t hits = 0;
+  for (const net::Packet& p : pkts) {
+    const bool expected = reference_is_backscatter(p);
+    EXPECT_EQ(net::is_backscatter(p), expected) << p.summary();
+    hits += expected;
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, pkts.size());
 }
 
 TEST(WireBatch, CanonicalParseAcceptsEveryEncoderImage) {

@@ -170,6 +170,19 @@ TEST_F(HourlyWriterTest, CorruptFileIsAnError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(HourlyFileName, HourOfInvertsFileName) {
+  for (const std::int64_t hour : {0, 1, 23, 999999, 1234567}) {
+    EXPECT_EQ(HourlyTraceWriter::hour_of(HourlyTraceWriter::file_name(hour)),
+              hour);
+  }
+  for (const char* name :
+       {"telescope-.ext", "telescope-12.pcap", "capture-000001.ext",
+        "telescope--1.ext", "telescope-0x1.ext", "telescope-1a.ext",
+        "telescope-99999999999999999999.ext"}) {
+    EXPECT_FALSE(HourlyTraceWriter::hour_of(name).has_value()) << name;
+  }
+}
+
 TEST_F(HourlyWriterTest, DestructorFlushesOpenHour) {
   {
     HourlyTraceWriter writer(dir_);

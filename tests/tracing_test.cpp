@@ -182,6 +182,38 @@ TEST(TracesEndpointTest, CoversEveryStageAndSplitsWaitFromWork) {
   EXPECT_EQ(limited.find("traces")->as_array().size(), 1u);
 }
 
+TEST(TracerRingsTest, RespawnedLaneThreadsReuseRings) {
+  // Capture lanes 1..3 are fresh threads every hour. Each exiting thread
+  // hands its ring back, so a 4-lane run keeps at most 4 rings (the
+  // calling thread's plus one per extra lane) however many hours it runs.
+  // The ring count is the peak number of threads recording at once: on a
+  // loaded machine lane threads may not overlap on the first day and
+  // still do on the second, so the bound, not equality across days, is
+  // what holds.
+  inet::PopulationConfig config;
+  config.iot_per_day = 30;
+  config.generic_per_day = 20;
+  config.misconfig_per_day = 10;
+  config.victims_per_day = 4;
+  config.benign_per_day = 2;
+  config.days = 2;
+  config.seed = 42;
+  auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
+  auto population = inet::Population::generate(config, world);
+  PipelineConfig pipe_config;
+  pipe_config.num_producer_threads = 4;
+  pipe_config.trace_sample = 1.0;
+  pipe_config.trace_ring_capacity = 64;
+  ExIotPipeline pipe(population, world, pipe_config);
+  pipe.run_hours(0, 24);
+  const std::size_t after_day = pipe.tracer().snapshot().size();
+  pipe.run_hours(24, 48);
+  const std::size_t after_two_days = pipe.tracer().snapshot().size();
+  EXPECT_GT(after_day, 0u);
+  EXPECT_LE(after_day, 4u * 64u);
+  EXPECT_LE(after_two_days, 4u * 64u);
+}
+
 TEST(TracesEndpointTest, RequiresAttachmentAndAuth) {
   feed::FeedManager feed;
   api::ApiServer server(feed);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: regular build + full test suite + metrics-name lint,
 # then a ThreadSanitizer build of the concurrency-bearing test binaries
-# (the capture lanes and their event merge, the blocking buffer, the epoll
+# (the capture lanes and their event merge, the API dispatch buffer, the epoll
 # API plane — event loops, worker pool, response cache, rate limiter,
 # streaming export, keep-alive, stop-while-serving — the source-partitioned
 # traffic producer, parallel forest training, the annotate passes whose

@@ -360,11 +360,19 @@ int cmd_replay(const Args& args) {
     std::fprintf(stderr, "replay: --dir is required\n");
     return 2;
   }
-  std::map<std::string, std::filesystem::path> files;
+  std::map<std::int64_t, std::filesystem::path> files;  // By hour index.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".ext") {
-      files[entry.path().filename().string()] = entry.path();
+    if (entry.path().extension() != ".ext") continue;
+    const std::string name = entry.path().filename().string();
+    const auto hour = trace::HourlyTraceWriter::hour_of(name);
+    if (!hour) {
+      std::fprintf(stderr,
+                   "replay: %s: not an hourly trace file name "
+                   "(telescope-<hour>.ext)\n",
+                   name.c_str());
+      return 1;
     }
+    files[*hour] = entry.path();
   }
   if (files.empty()) {
     std::fprintf(stderr, "replay: no trace files in %s\n", dir.c_str());
@@ -375,7 +383,8 @@ int cmd_replay(const Args& args) {
   events.on_scanner = [&](const flow::FlowSummary&) { ++scanners; };
   flow::FlowDetector detector(flow::DetectorConfig{}, std::move(events));
   std::printf("%-26s %10s %10s\n", "file", "packets", "scanners");
-  for (const auto& [name, path] : files) {
+  for (const auto& [hour, path] : files) {
+    const std::string name = path.filename().string();
     const std::size_t before = scanners;
     auto n = trace::read_trace_file(
         path, [&](const net::Packet& pkt) { detector.process(pkt); });
@@ -384,9 +393,8 @@ int cmd_replay(const Args& args) {
                    n.error().message.c_str());
       return 1;
     }
-    detector.end_of_hour(
-        (detector.stats().packets_processed > 0 ? 1 : 0) * kMicrosPerHour +
-        kMicrosPerHour);
+    // The expiry sweep runs at the end of the hour the file holds.
+    detector.end_of_hour((hour + 1) * kMicrosPerHour);
     std::printf("%-26s %10zu %10zu\n", name.c_str(), n.value(),
                 scanners - before);
   }
