@@ -4,6 +4,7 @@
 
 #include "net/packet.h"
 #include <functional>
+#include <ostream>
 
 #include "net/wire.h"
 
@@ -198,6 +199,11 @@ struct OptionCase {
   const char* name;
   TcpOptions opts;
 };
+
+// Without this gtest prints the raw bytes of the case, name pointer included,
+// so the listed test names (and the ctest names discovered from them) would
+// change with every run's address layout.
+void PrintTo(const OptionCase& c, std::ostream* os) { *os << c.name; }
 
 class TcpOptionRoundTrip : public ::testing::TestWithParam<OptionCase> {};
 
